@@ -183,7 +183,7 @@ def random_kernel_case(seed: int, max_plane: int = 8) -> FuzzCase:
     matrix compares against the per-event reference — which is the spec
     even when membranes clip — so the boundary conditions the compiled
     kernels could plausibly get wrong are provoked on purpose, rotating
-    through four flavours:
+    through five flavours:
 
     * forced mid-step saturation — full-rail ±7 weights on fully
       populated steps (the dtype-overflow suspect);
@@ -192,10 +192,14 @@ def random_kernel_case(seed: int, max_plane: int = 8) -> FuzzCase:
     * single-neuron slices — a one-output dense layer, the degenerate
       TDM range (off-by-one suspect at the ``neuron_lo/hi`` boundary);
     * a general draw via :func:`random_case` for broad coverage
-      (depthwise pooling, strided conv, multi-pass TDM).
+      (depthwise pooling, strided conv, multi-pass TDM);
+    * empty windows — a conv or depthwise layer whose stride exceeds
+      its kernel, or whose output plane is cropped below its natural
+      size, so some input coordinates have no fanout at all (the
+      closed-form CSR's edge cases).
     """
     rng = np.random.default_rng(0x5EED0 + seed)
-    flavor = seed % 4
+    flavor = seed % 5
     if flavor == 3:
         return random_case(seed, max_plane=max_plane)
     n_steps = int(rng.integers(2, 8))
@@ -225,6 +229,29 @@ def random_kernel_case(seed: int, max_plane: int = 8) -> FuzzCase:
         burst = (rng.random((c_in, side, side)) < 0.5).astype(np.uint8)
         dense[0] = burst
         dense[-1] = 1 - burst
+    elif flavor == 4:
+        # Empty windows: residues (y + padding) % stride >= kernel reach
+        # no output; on a stride-1 plane cropped to at most
+        # h + padding - kernel rows the last input row reaches none.
+        kind = rng.choice([LayerKind.CONV, LayerKind.DEPTHWISE])
+        kernel = int(rng.integers(1, 3))
+        c_in = int(rng.integers(1, 3))
+        side = int(rng.integers(kernel + 2, max_plane + 1))
+        if rng.random() < 0.5:
+            stride = int(rng.integers(kernel + 1, kernel + 3))
+            padding = int(rng.integers(0, kernel + 1))
+            h_out = w_out = (side + 2 * padding - kernel) // stride + 1
+        else:
+            stride, padding = 1, int(rng.integers(0, kernel))
+            h_out = int(rng.integers(1, side + padding - kernel + 1))
+            w_out = int(rng.integers(1, side + 2 * padding - kernel + 2))
+        c_out = c_in if kind == LayerKind.DEPTHWISE else int(rng.integers(1, 5))
+        g = LayerGeometry(kind, c_in, side, side, c_out, h_out, w_out,
+                          kernel, stride, padding)
+        shape = (c_in,) if kind == LayerKind.DEPTHWISE else (c_out, c_in)
+        weights = rng.integers(-4, 5, shape + (kernel, kernel))
+        threshold = int(rng.integers(1, 8))
+        dense = (rng.random((n_steps, c_in, side, side)) < 0.4).astype(np.uint8)
     else:
         # Single-neuron slice: one output neuron total, so every kernel
         # runs with the degenerate [lo, lo+1) TDM range.

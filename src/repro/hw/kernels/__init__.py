@@ -53,8 +53,11 @@ class KernelSet:
 
     ``assemble(offsets, idx, w, flat)`` gathers the packed CSR fanout of
     a batch of events into ``(neuron_idx, weights, event_idx)`` int64
-    arrays concatenated in event order (the contract of
-    :meth:`repro.hw.mapper.FanoutTable.gather`).
+    arrays concatenated in event order: each event contributes its
+    :meth:`repro.hw.mapper.LayerGeometry.affected_outputs`, which the
+    closed-form :class:`~repro.hw.mapper.PackedFanout` reproduces per
+    coordinate (:meth:`repro.hw.mapper.FanoutTable.gather` is the numpy
+    form of this call).
 
     ``update_step(state, tlus, t, leak, neuron_idx, weights, event_idx,
     n_events, neuron_lo, neuron_hi, window, vlo, vhi)`` applies one

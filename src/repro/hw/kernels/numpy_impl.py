@@ -25,8 +25,10 @@ def assemble(
     ``offsets[f]:offsets[f+1]`` delimits input coordinate ``f``'s fanout
     inside ``idx_flat``/``w_flat``; ``flat`` holds the batch's linear
     coordinates in event order.  Returns ``(neuron_idx, weights,
-    event_idx)`` — the same concatenation-in-event-order contract as
-    :meth:`repro.hw.mapper.FanoutTable.gather`.
+    event_idx)``: each event's
+    :meth:`repro.hw.mapper.LayerGeometry.affected_outputs`,
+    concatenated in event order.  :meth:`repro.hw.mapper.FanoutTable.gather`
+    is this call over the table's packed arrays.
     """
     sizes = offsets[flat + 1] - offsets[flat]
     total = int(sizes.sum())

@@ -30,6 +30,7 @@ from ..snn.network import Sequential
 from ..snn.neurons import LIFDynamics
 from ..snn.quantize import QuantSpec, export_layer_quant
 from .config import SNEConfig
+from .kernels.numpy_impl import assemble
 from .lif_datapath import check_weight_range
 
 __all__ = [
@@ -222,12 +223,14 @@ class PackedFanout:
     """CSR form of a layer's complete event fanout.
 
     ``offsets[f]:offsets[f+1]`` delimits input coordinate ``f``'s fanout
-    inside the flat ``idx``/``w`` arrays.  This is the representation
-    the compiled kernels (:mod:`repro.hw.kernels`) gather from — one
-    contiguous lookup instead of a Python loop over per-coordinate
-    cache entries — and it is built from the exact
-    :meth:`LayerGeometry.affected_outputs` results, so kernel gathers
-    stay bit-identical to the per-event path by construction.
+    inside the flat ``idx``/``w`` int64 arrays.  This is the
+    representation the compiled kernels (:mod:`repro.hw.kernels`) gather
+    from — one contiguous lookup instead of a Python loop over
+    coordinates.  :class:`FanoutTable` builds it in closed form from the
+    layer geometry; each slice equals
+    :meth:`LayerGeometry.affected_outputs` of its coordinate, in order
+    and dtype (checked by property test in ``tests/test_mapper.py``), so
+    kernel gathers stay bit-identical to the per-event path.
     """
 
     offsets: np.ndarray
@@ -235,34 +238,74 @@ class PackedFanout:
     w: np.ndarray
 
 
+def _axis_taps(
+    geometry: LayerGeometry, n_in: int, n_out: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis receptive-field table: ``(out_index, valid)``, both ``[n_in, kernel]``.
+
+    Column ``t`` is kernel tap ``kernel - 1 - t``; descending taps make
+    the output index ascend along a row, the order
+    :meth:`LayerGeometry.affected_outputs` enumerates its window in.
+    ``valid`` masks taps the stride skips or that land off the output
+    plane.
+    """
+    k, s = geometry.kernel, geometry.stride
+    taps = np.arange(k - 1, -1, -1)
+    num = np.arange(n_in, dtype=np.int64)[:, None] + geometry.padding - taps
+    out = num // s
+    return out, (num >= 0) & (num % s == 0) & (out < n_out)
+
+
 class FanoutTable:
-    """Batched :meth:`LayerGeometry.affected_outputs` lookup for one program.
+    """The whole-plane :meth:`LayerGeometry.affected_outputs` lookup of one program.
 
     The per-event path recomputes the receptive-field arithmetic for
     every event; a run replays the same few thousand input coordinates
     thousands of times, so the vectorised event loop resolves whole
-    timesteps through this table instead.  Dense layers are answered
-    with one fancy-index gather; conv/depthwise layers memoise the
-    ``(neuron_idx, weight)`` arrays per input coordinate on first use.
-    Entries are exactly what ``affected_outputs`` returns, so the
-    batched and per-event paths are bit-identical by construction.
+    timesteps through this table's :class:`PackedFanout` instead.  It
+    is built once, in one vectorised pass: conv/depthwise fanouts from
+    :func:`_axis_taps` broadcast over ``[c_in, y, x, (c_out), tap_i,
+    tap_j]``, dense fanouts from the weight matrix, each compressed by
+    one validity mask whose row-major order is ``affected_outputs``'
+    order (channel-major, window row-major within a channel).
     """
 
     def __init__(self, program: LayerProgram) -> None:
         g = program.geometry
         self._geometry = g
-        # Snapshot the weights: the content-hash memo keys tables by the
-        # weight *values*, so a table must never see later in-place
-        # mutations of the program's array (that was the stale-fanout
-        # bug the hash keying fixes).
-        self._weights = np.array(program.weights, dtype=np.int64, copy=True)
-        self._dense_w: np.ndarray | None = None
+        # The boolean compress below copies, so a built table never sees
+        # later in-place mutations of the program's weights (the
+        # stale-fanout bug the content-hash keying fixes).
+        weights = np.asarray(program.weights, dtype=np.int64)
         if g.kind is LayerKind.DENSE:
-            # [C_out, F_in] int64 matrix; one event's fanout is a column.
-            self._dense_w = self._weights
-            self._dense_idx = np.arange(g.out_channels, dtype=np.int64)
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._packed: PackedFanout | None = None
+            # [c_in, y, x, c_out]: every coordinate reaches every output.
+            idx = np.arange(g.out_channels, dtype=np.int64)
+            w = weights.T.reshape(g.in_channels, g.in_height, g.in_width, -1)
+            mask = np.ones(1, dtype=bool)
+        else:
+            oi, vi = _axis_taps(g, g.in_height, g.out_height)
+            oj, vj = _axis_taps(g, g.in_width, g.out_width)
+            # [y, x, tap_i, tap_j]
+            pos = (oi * g.out_width)[:, None, :, None] + oj[None, :, None, :]
+            mask = vi[:, None, :, None] & vj[None, :, None, :]
+            base = np.arange(g.out_channels, dtype=np.int64) * (g.out_height * g.out_width)
+            taps = weights[..., ::-1, ::-1]
+            if g.kind is LayerKind.DEPTHWISE:  # [c, y, x, tap_i, tap_j]
+                idx = base[:, None, None, None, None] + pos
+                w = taps[:, None, None]
+            else:  # CONV: [c_in, y, x, c_out, tap_i, tap_j]
+                idx = base[:, None, None] + pos[:, :, None]
+                w = taps.transpose(1, 0, 2, 3)[:, None, None]
+                mask = mask[:, :, None]
+        shape = np.broadcast_shapes(idx.shape, w.shape, mask.shape)
+        mask = np.broadcast_to(mask, shape)
+        offsets = np.zeros(g.n_inputs + 1, dtype=np.int64)
+        np.cumsum(mask.reshape(g.n_inputs, -1).sum(axis=1), out=offsets[1:])
+        self._packed = PackedFanout(
+            offsets,
+            np.broadcast_to(idx, shape)[mask],
+            np.broadcast_to(w, shape)[mask],
+        )
 
     def flat_ids(self, ch: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Linear input-coordinate ids, validated against the input plane."""
@@ -289,72 +332,14 @@ class FanoutTable:
 
         Returns ``(neuron_idx, weights, event_idx)`` int64 arrays: the
         linear output neurons touched by each event, their synaptic
-        weights, and the position of the owning event within the batch.
+        weights, and the position of the owning event within the batch —
+        :func:`repro.hw.kernels.numpy_impl.assemble` over :meth:`packed`.
         """
-        flat = self.flat_ids(ch, x, y)
-        n = flat.size
-        g = self._geometry
-        if self._dense_w is not None:
-            m = g.out_channels
-            idx = np.tile(self._dense_idx, n)
-            w = self._dense_w[:, flat].T.reshape(-1)
-            ev = np.repeat(np.arange(n, dtype=np.int64), m)
-            return idx, w, ev
-        parts = [self._entry(int(flat[k])) for k in range(n)]
-        sizes = np.fromiter((p[0].size for p in parts), count=n, dtype=np.int64)
-        if n == 0 or int(sizes.sum()) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty
-        idx = np.concatenate([p[0] for p in parts])
-        w = np.concatenate([p[1] for p in parts])
-        ev = np.repeat(np.arange(n, dtype=np.int64), sizes)
-        return idx, w, ev
-
-    def _entry(self, f: int) -> tuple[np.ndarray, np.ndarray]:
-        """Memoised ``(neuron_idx, weights)`` fanout of one coordinate."""
-        entry = self._cache.get(f)
-        if entry is None:
-            g = self._geometry
-            plane = g.in_height * g.in_width
-            c, rem = divmod(f, plane)
-            i, j = divmod(rem, g.in_width)
-            idx_k, w_k = g.affected_outputs(c, j, i, self._weights)
-            entry = (np.asarray(idx_k, dtype=np.int64), np.asarray(w_k, dtype=np.int64))
-            self._cache[f] = entry
-        return entry
+        p = self._packed
+        return assemble(p.offsets, p.idx, p.w, self.flat_ids(ch, x, y))
 
     def packed(self) -> PackedFanout:
-        """The whole input plane's fanout in CSR form (built once).
-
-        Dense layers pack directly from the weight matrix; conv and
-        depthwise layers concatenate the per-coordinate
-        ``affected_outputs`` entries, so the packed arrays are the
-        memoised entries laid end to end — the compiled kernels gather
-        from exactly what :meth:`gather` would have concatenated.
-        """
-        if self._packed is None:
-            g = self._geometry
-            n_coords = g.n_inputs
-            if self._dense_w is not None:
-                m = g.out_channels
-                offsets = np.arange(n_coords + 1, dtype=np.int64) * m
-                idx = np.tile(self._dense_idx, n_coords)
-                w = np.ascontiguousarray(self._dense_w.T).reshape(-1)
-                self._packed = PackedFanout(offsets, idx, w)
-            else:
-                entries = [self._entry(f) for f in range(n_coords)]
-                sizes = np.fromiter(
-                    (e[0].size for e in entries), count=n_coords, dtype=np.int64
-                )
-                offsets = np.zeros(n_coords + 1, dtype=np.int64)
-                np.cumsum(sizes, out=offsets[1:])
-                if int(offsets[-1]):
-                    idx = np.concatenate([e[0] for e in entries])
-                    w = np.concatenate([e[1] for e in entries])
-                else:
-                    idx = np.zeros(0, dtype=np.int64)
-                    w = np.zeros(0, dtype=np.int64)
-                self._packed = PackedFanout(offsets, idx, w)
+        """The whole input plane's fanout in CSR form."""
         return self._packed
 
 

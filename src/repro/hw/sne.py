@@ -152,7 +152,9 @@ class SNE:
         ``profiler`` (a :class:`repro.runtime.profile.Profiler`)
         receives per-stage spans — ``sne.assemble`` / ``sne.update`` /
         ``sne.fire`` / ``sne.reset`` (+ ``sne.trace`` when tracing) —
-        with event counts, at per-pass granularity.
+        with event counts, at per-pass granularity, plus one
+        ``sne.fanout_build`` around the (memoised) fanout table lookup
+        on the kernel paths.
 
         ``kernel`` selects the batched stage implementation through the
         :mod:`repro.hw.kernels` registry: ``"auto"`` (numba when
@@ -177,8 +179,13 @@ class SNE:
         out_t, out_ch, out_x, out_y = [], [], [], []
         fired_parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         n_passes = program.n_passes(cfg)
-        table = fanout_table(program) if ks is not None else None
-        packed = table.packed() if ks is not None else None
+        table = packed = None
+        if ks is not None:
+            t0 = _pc() if profiler is not None else 0.0
+            table = fanout_table(program)
+            packed = table.packed()
+            if profiler is not None:
+                profiler.add("sne.fanout_build", _pc() - t0)
 
         for pass_idx in range(n_passes):
             pass_lo, pass_hi = program.pass_neuron_range(cfg, pass_idx)
@@ -386,7 +393,8 @@ class SNE:
         C-XBAR within the same timestep.  The run's cycle count is the
         busiest slice group (they execute concurrently).  ``profiler``
         receives the same ``sne.assemble`` / ``sne.update`` /
-        ``sne.fire`` / ``sne.reset`` stage spans as :meth:`run_layer`.
+        ``sne.fire`` / ``sne.reset`` / ``sne.fanout_build`` stage spans
+        as :meth:`run_layer`.
 
         ``kernel`` selects the stage implementation exactly as in
         :meth:`run_layer`.  On the kernel paths the fire→next-layer hop
@@ -437,8 +445,13 @@ class SNE:
         ks = resolve_kernel(kernel)
         out_t, out_ch, out_x, out_y = [], [], [], []
         fired_parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        tables = [fanout_table(program) for program in programs]
-        packs = [table.packed() if ks is not None else None for table in tables]
+        tables = packs = [None] * len(programs)
+        if ks is not None:
+            t0 = _pc() if profiler is not None else 0.0
+            tables = [fanout_table(program) for program in programs]
+            packs = [table.packed() for table in tables]
+            if profiler is not None:
+                profiler.add("sne.fanout_build", _pc() - t0)
         counts = stream.counts_per_step()
         start = 0
         assemble_s = update_s = fire_s = 0.0

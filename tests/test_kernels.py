@@ -283,6 +283,11 @@ class TestKernelFuzzHarness:
         # flavour 2: a single output neuron (degenerate TDM range)
         solo = random_kernel_case(2)
         assert solo.program.geometry.n_outputs == 1
+        # flavour 4: conv/depthwise with input coordinates of empty fanout
+        for seed in (4, 9, 14, 19):
+            holes = random_kernel_case(seed).program
+            assert holes.geometry.kind is not LayerKind.DENSE
+            assert (np.diff(fanout_table(holes).packed().offsets) == 0).any()
 
     def test_run_kernel_case_reports_mismatch_fields(self):
         case = random_kernel_case(3)
@@ -321,7 +326,7 @@ class TestFanoutMemo:
         stream = EventStream.from_dense(np.ones((1, 1, 4, 4), dtype=np.uint8))
         cfg = SNEConfig(n_slices=1)
         sne = SNE(cfg)
-        sne.run_layer(prog, stream)  # memoise + build coordinate entries
+        sne.run_layer(prog, stream)  # memoise + build the packed table
         before = fanout_table(prog)
 
         prog.weights[:] = 3  # in-place: same object, new content
@@ -366,19 +371,23 @@ class TestPackedFanout:
         ),
     ])
     def test_packed_matches_gather(self, make):
-        """The CSR arrays must reproduce gather() for every coordinate."""
+        """gather() over the packed CSR must concatenate each event's
+        ``affected_outputs`` in event order, repeats and all."""
         prog = make()
         table = fanout_table(prog)
-        packed = table.packed()
         g = prog.geometry
-        for f in range(g.n_inputs):
-            ch, rem = divmod(f, g.in_height * g.in_width)
-            y, x = divmod(rem, g.in_width)
-            idx, w, ev = table.gather(np.array([ch]), np.array([x]), np.array([y]))
-            lo, hi = int(packed.offsets[f]), int(packed.offsets[f + 1])
-            assert np.array_equal(packed.idx[lo:hi], idx)
-            assert np.array_equal(packed.w[lo:hi], w)
-            assert (ev == 0).all()
+        rng = np.random.default_rng(7)
+        flat = rng.integers(0, g.n_inputs, 3 * g.n_inputs)
+        ch, rem = np.divmod(flat, g.in_height * g.in_width)
+        y, x = np.divmod(rem, g.in_width)
+        idx, w, ev = table.gather(ch, x, y)
+        parts = [g.affected_outputs(int(c), int(xx), int(yy), prog.weights)
+                 for c, xx, yy in zip(ch, x, y)]
+        assert np.array_equal(idx, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
+        sizes = [p[0].size for p in parts]
+        assert np.array_equal(ev, np.repeat(np.arange(flat.size), sizes))
+        assert idx.dtype == w.dtype == ev.dtype == np.int64
 
 
 class TestJobHashIsolation:

@@ -1,5 +1,7 @@
 """Tests for layer geometry, receptive-field arithmetic and compilation."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from repro.hw import (
     SNEConfig,
     compile_layer,
     compile_network,
+    fanout_table,
 )
+from repro.hw import mapper as mapper_mod
 from repro.snn import build_small_network, EConv2d, EDense, ESumPool2d, SRMDynamics
 
 
@@ -131,6 +135,87 @@ class TestLayerGeometry:
         idx, wout = g.affected_outputs(ch, x, y, weights)
         got = sorted(zip(idx.tolist(), [int(v) for v in wout]))
         assert got == brute_force_affected(g, ch, x, y, weights)
+
+
+@st.composite
+def fanout_programs(draw):
+    """Any layer kind, with strides past the kernel, padding up to the
+    kernel and output planes cropped below their natural size, so some
+    input coordinates have an empty fanout."""
+    kind = draw(st.sampled_from(list(LayerKind)))
+    c_in = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == LayerKind.DENSE:
+        h, w_dim = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        g = LayerGeometry(kind, c_in, h, w_dim, draw(st.integers(1, 6)), 1, 1)
+        return LayerProgram(g, rng.integers(-8, 8, (g.out_channels, g.n_inputs)),
+                            threshold=1, leak=0)
+    k = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 5))
+    pad = draw(st.integers(0, k))
+    h = draw(st.integers(max(1, k - 2 * pad), 7))
+    w_dim = draw(st.integers(max(1, k - 2 * pad), 7))
+    h_out = draw(st.integers(1, (h + 2 * pad - k) // stride + 1))
+    w_out = draw(st.integers(1, (w_dim + 2 * pad - k) // stride + 1))
+    if kind == LayerKind.DEPTHWISE:
+        c_out, shape = c_in, (c_in, k, k)
+    else:
+        c_out = draw(st.integers(1, 3))
+        shape = (c_out, c_in, k, k)
+    g = LayerGeometry(kind, c_in, h, w_dim, c_out, h_out, w_out, k, stride, pad)
+    return LayerProgram(g, rng.integers(-8, 8, shape), threshold=1, leak=0)
+
+
+class TestFanoutTable:
+    @given(fanout_programs())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_matches_affected_outputs(self, program):
+        """The closed-form CSR is ``affected_outputs``, coordinate by
+        coordinate, in order and dtype (the per-event path's oracle)."""
+        g = program.geometry
+        packed = mapper_mod.FanoutTable(program).packed()
+        for arr in (packed.offsets, packed.idx, packed.w):
+            assert arr.dtype == np.int64
+        assert packed.offsets.shape == (g.n_inputs + 1,)
+        assert packed.offsets[0] == 0 and packed.offsets[-1] == packed.idx.size
+        for f in range(g.n_inputs):
+            ch, rem = divmod(f, g.in_height * g.in_width)
+            y, x = divmod(rem, g.in_width)
+            idx, w = g.affected_outputs(ch, x, y, program.weights)
+            lo, hi = packed.offsets[f], packed.offsets[f + 1]
+            assert np.array_equal(packed.idx[lo:hi], idx)
+            assert np.array_equal(packed.w[lo:hi], w)
+            assert idx.dtype == np.int64 and w.dtype == np.int64
+
+    def test_empty_fanouts_are_packed_as_empty_rows(self):
+        # stride 3 > kernel 1: only every third row/column reaches an output
+        g = LayerGeometry(LayerKind.CONV, 1, 6, 6, 2, 2, 2, kernel=1, stride=3)
+        packed = fanout_table(
+            LayerProgram(g, np.full((2, 1, 1, 1), 5), threshold=1, leak=0)
+        ).packed()
+        sizes = np.diff(packed.offsets).reshape(6, 6)
+        expected = np.zeros((6, 6), dtype=np.int64)
+        expected[::3, ::3] = 2
+        assert np.array_equal(sizes, expected)
+
+    def test_build_never_calls_affected_outputs(self, monkeypatch):
+        """Guard: the build is one vectorised pass, never the
+        per-coordinate loop over ``affected_outputs``."""
+        monkeypatch.setattr(mapper_mod, "_FANOUTS", OrderedDict())
+
+        def boom(*args, **kwargs):
+            raise AssertionError("fanout build called affected_outputs")
+
+        monkeypatch.setattr(LayerGeometry, "affected_outputs", boom)
+        conv = LayerProgram(conv_geometry(), np.ones((3, 2, 3, 3)), threshold=1, leak=0)
+        depthwise = LayerProgram(
+            conv_geometry(kind=LayerKind.DEPTHWISE, out_channels=2,
+                          out_height=4, out_width=4, kernel=2, stride=2, padding=0),
+            np.ones((2, 2, 2)), threshold=1, leak=0,
+        )
+        for program in (conv, depthwise):
+            packed = fanout_table(program).packed()
+            assert packed.offsets[-1] == packed.idx.size > 0
 
 
 class TestLayerProgram:

@@ -1,12 +1,14 @@
 """Tests for the hot-path profiling subsystem (repro.runtime.profile)."""
 
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from repro.events import EventStream, SyntheticDVSGesture
 from repro.hw import PAPER_CONFIG, SNE, HardwareEvaluator, SNEConfig, compile_network
+from repro.hw import mapper
 from repro.runtime import (
     ProfileAggregator,
     Profiler,
@@ -103,6 +105,17 @@ class TestSNEProfileSpans:
         assert any(n.startswith("sne.layer.") for n in names)
         for span in profiler.spans.values():
             assert set(span.as_dict()) == SPAN_KEYS
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_fresh_program_reports_fanout_build(self, pipelined, monkeypatch):
+        monkeypatch.setattr(mapper, "_FANOUTS", OrderedDict())  # fresh tables
+        data, evaluator = small_deployment(slices=8)
+        profiler = Profiler()
+        run = SNE.run_network_pipelined if pipelined else SNE.run_network
+        run(SNE(evaluator.config), evaluator.programs, data.samples[0].stream,
+            profiler=profiler)
+        assert profiler.spans["sne.fanout_build"].count >= 1
+        assert profiler.spans["sne.fanout_build"].wall_s > 0
 
     def test_reference_loop_profiles_too(self):
         profiler = self.make_run(batched=False)
