@@ -89,6 +89,15 @@ class SNEConfig:
         return self.peak_sops_per_cycle * self.freq_hz
 
     @property
+    def fire_slack(self) -> int:
+        """Fired events one FIRE scan absorbs before it stalls.
+
+        The collector drains one event per scan cycle and every cluster
+        FIFO holds ``cluster_fifo_depth`` more.
+        """
+        return self.cycles_per_fire + self.cluster_fifo_depth * self.clusters_per_slice
+
+    @property
     def event_time_s(self) -> float:
         """Wall-clock time to consume one event: 120 ns at 400 MHz (§IV-B)."""
         return self.cycles_per_event / self.freq_hz

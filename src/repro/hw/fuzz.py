@@ -12,17 +12,19 @@ Used by the property-based tests and runnable standalone::
 The second harness fuzzes the compiled-kernel matrix
 (:mod:`repro.hw.kernels`): :func:`random_kernel_case` draws scenarios
 that deliberately hit the kernel-boundary suspects — forced mid-step
-saturation, zero-event steps, single-neuron slices — and
-:func:`run_kernel_case` diffs every available kernel against the
-per-event reference on outputs, statistics and membranes.  Unlike the
-dense golden, the reference IS the spec here, so saturating scenarios
-are compared, not skipped::
+saturation, zero-event steps, single-neuron slices, layer-parallel
+hops, clusters left idle after they fire — and :func:`run_kernel_case`
+diffs every available kernel against the per-event reference on
+outputs, statistics, membranes, cluster registers and activity
+traces.  Unlike the dense golden, the reference IS the spec here, so
+saturating scenarios are compared, not skipped::
 
     python -m repro.hw.fuzz 200 --kernels
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from .config import SNEConfig
 from .functional import check_no_intra_step_saturation, simulate_layer_dense
 from .mapper import LayerGeometry, LayerKind, LayerProgram
 from .sne import SNE
+from .trace import ActivityTrace
 
 __all__ = [
     "FuzzCase",
@@ -49,12 +52,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FuzzCase:
-    """One randomly drawn co-simulation scenario."""
+    """One randomly drawn co-simulation scenario.
+
+    A non-empty ``pipeline`` makes it a layer-parallel case: those
+    layers run through :meth:`~repro.hw.sne.SNE.run_network_pipelined`
+    and ``program`` is the first of them.
+    """
 
     program: LayerProgram
     stream: EventStream
     n_slices: int
     seed: int
+    pipeline: tuple[LayerProgram, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ def random_kernel_case(seed: int, max_plane: int = 8) -> FuzzCase:
     matrix compares against the per-event reference — which is the spec
     even when membranes clip — so the boundary conditions the compiled
     kernels could plausibly get wrong are provoked on purpose, rotating
-    through five flavours:
+    through seven flavours:
 
     * forced mid-step saturation — full-rail ±7 weights on fully
       populated steps (the dtype-overflow suspect);
@@ -196,10 +205,17 @@ def random_kernel_case(seed: int, max_plane: int = 8) -> FuzzCase:
     * empty windows — a conv or depthwise layer whose stride exceeds
       its kernel, or whose output plane is cropped below its natural
       size, so some input coordinates have no fanout at all (the
-      closed-form CSR's edge cases).
+      closed-form CSR's edge cases);
+    * layer-parallel — a conv layer feeding a dense classifier through
+      :meth:`~repro.hw.sne.SNE.run_network_pipelined` (one-step pass
+      windows, TLU registers carried across steps, the packed hop);
+    * cross, then idle — a leaky conv layer whose clusters fire on an
+      opening burst and then go untouched for several steps while a
+      late corner burst touches only some of them (the pass kernels
+      scan touched clusters only).
     """
     rng = np.random.default_rng(0x5EED0 + seed)
-    flavor = seed % 5
+    flavor = seed % 7
     if flavor == 3:
         return random_case(seed, max_plane=max_plane)
     n_steps = int(rng.integers(2, 8))
@@ -252,6 +268,45 @@ def random_kernel_case(seed: int, max_plane: int = 8) -> FuzzCase:
         weights = rng.integers(-4, 5, shape + (kernel, kernel))
         threshold = int(rng.integers(1, 8))
         dense = (rng.random((n_steps, c_in, side, side)) < 0.4).astype(np.uint8)
+    elif flavor == 5:
+        # Layer-parallel: conv -> dense, both groups fitting the slices.
+        side = int(rng.integers(3, max_plane + 1))
+        c_in = int(rng.integers(1, 3))
+        c_mid = int(rng.integers(1, 4))
+        g1 = LayerGeometry(LayerKind.CONV, c_in, side, side, c_mid, side, side,
+                           kernel=3, stride=1, padding=1)
+        g2 = LayerGeometry(LayerKind.DENSE, c_mid, side, side,
+                           int(rng.integers(2, 20)), 1, 1)
+        pipeline = tuple(
+            LayerProgram(g, rng.integers(-4, 5, shape),
+                         threshold=int(rng.integers(1, 6)),
+                         leak=int(rng.integers(0, 3)))
+            for g, shape in ((g1, (c_mid, c_in, 3, 3)), (g2, (g2.out_channels, g2.n_inputs)))
+        )
+        dense = (rng.random((n_steps, c_in, side, side)) < 0.3).astype(np.uint8)
+        return FuzzCase(program=pipeline[0], stream=EventStream.from_dense(dense),
+                        n_slices=int(rng.choice([2, 8])), seed=seed,
+                        pipeline=pipeline)
+    elif flavor == 6:
+        # Cross, then idle: an opening burst drives most membranes over
+        # a low threshold, the rest keep residues that leak while idle;
+        # a late burst in one corner touches only some clusters.
+        side = int(rng.integers(6, max_plane + 5))
+        c_in = int(rng.integers(1, 3))
+        c_out = int(rng.integers(1, 4))
+        g = LayerGeometry(LayerKind.CONV, c_in, side, side, c_out, side, side,
+                          kernel=3, stride=1, padding=1)
+        weights = rng.integers(0, 5, (c_out, c_in, 3, 3))
+        threshold = int(rng.integers(2, 7))
+        n_steps = int(rng.integers(6, 12))
+        dense = np.zeros((n_steps, c_in, side, side), dtype=np.uint8)
+        dense[0] = rng.random((c_in, side, side)) < 0.5
+        corner = side // 3
+        dense[-1, :, :corner, :corner] = rng.random((c_in, corner, corner)) < 0.5
+        program = LayerProgram(g, weights, threshold=threshold,
+                               leak=int(rng.integers(1, 3)))
+        return FuzzCase(program=program, stream=EventStream.from_dense(dense),
+                        n_slices=int(rng.choice([1, 2, 8])), seed=seed)
     else:
         # Single-neuron slice: one output neuron total, so every kernel
         # runs with the degenerate [lo, lo+1) TDM range.
@@ -271,32 +326,47 @@ def random_kernel_case(seed: int, max_plane: int = 8) -> FuzzCase:
     )
 
 
+def _kernel_run(case: FuzzCase, cfg: SNEConfig, kernel: str) -> dict:
+    """Everything the parity contract compares, for one kernel."""
+    sne = SNE(cfg)
+    trace = None
+    if case.pipeline:
+        out, stats = sne.run_network_pipelined(list(case.pipeline), case.stream,
+                                               kernel=kernel)
+    else:
+        trace = ActivityTrace()
+        out, stats = sne.run_layer(case.program, case.stream, trace=trace,
+                                   kernel=kernel)
+    return {
+        "outputs": out,
+        "stats": dataclasses.asdict(stats),
+        "membranes": [sl.membrane_snapshot() for sl in sne.slices],
+        "clusters": [(c.tlu, dataclasses.asdict(c.stats))
+                     for sl in sne.slices for c in sl.clusters],
+        "trace": None if trace is None else trace.steps,
+    }
+
+
 def run_kernel_case(case: FuzzCase, kernels=None) -> KernelFuzzResult:
     """Run one case through every kernel; the per-event reference is golden.
 
-    Each kernel's outputs, statistics (as plain dicts) and per-slice
-    membrane snapshots are diffed against the reference run; every
-    divergent field is recorded as ``"<kernel>: <field>"``.
+    Each kernel's outputs, statistics (as plain dicts), per-slice
+    membrane snapshots, every cluster's TLU register and counters, and
+    (for single-layer cases) the activity trace are diffed against the
+    reference run; every divergent field is recorded as
+    ``"<kernel>: <field>"``.
     """
-    import dataclasses
-
     names = tuple(kernels) if kernels is not None else matrix_kernels()
     cfg = SNEConfig(n_slices=case.n_slices)
-    sne_ref = SNE(cfg)
-    out_ref, stats_ref = sne_ref.run_layer(case.program, case.stream,
-                                           kernel="reference")
-    ref_stats = dataclasses.asdict(stats_ref)
-    ref_membranes = [sl.membrane_snapshot() for sl in sne_ref.slices]
+    ref = _kernel_run(case, cfg, "reference")
     mismatches: list[str] = []
     for name in names:
-        sne_k = SNE(cfg)
-        out_k, stats_k = sne_k.run_layer(case.program, case.stream, kernel=name)
-        if out_k != out_ref:
-            mismatches.append(f"{name}: outputs")
-        if dataclasses.asdict(stats_k) != ref_stats:
-            mismatches.append(f"{name}: stats")
-        if any(not np.array_equal(sl.membrane_snapshot(), m)
-               for sl, m in zip(sne_k.slices, ref_membranes)):
+        got = _kernel_run(case, cfg, name)
+        for key in ("outputs", "stats", "clusters", "trace"):
+            if got[key] != ref[key]:
+                mismatches.append(f"{name}: {key}")
+        if any(not np.array_equal(a, b)
+               for a, b in zip(got["membranes"], ref["membranes"])):
             mismatches.append(f"{name}: membranes")
     return KernelFuzzResult(case=case, kernels=names,
                             matched=not mismatches,

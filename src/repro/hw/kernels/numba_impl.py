@@ -1,24 +1,31 @@
 """Numba-jit kernels for the SNE hot loop (preferred when importable).
 
-The update kernel is a fused serial loop — address filter, first-touch
-leak catch-up, per-(event, cluster) sequencer counts and the saturating
-accumulate in one pass over the assembled entries.  Serial execution in
-event order makes bit-identity with the per-event reference *trivial*:
-there is no fast-path/replay split to keep honest, every add clips
-exactly like :func:`repro.hw.lif_datapath.sat_add`.
+The pass kernel is one fused serial loop over a pass's assembled
+entries — address filter, first-touch leak catch-up, per-(event,
+cluster) sequencer counts and the saturating accumulate in event order,
+then the fire scan of the touched clusters at the end of each timestep.
+Serial execution in event order makes bit-identity with the per-event
+reference *trivial*: there is no fast-path/replay split to keep honest,
+every add clips exactly like :func:`repro.hw.lif_datapath.sat_add`.
 
 Import of this module never fails: ``AVAILABLE`` records whether numba
 imported, and the registry (:mod:`repro.hw.kernels`) falls back to the
-numpy shim — with a once-per-process warning — when it did not.  JIT
-compilation is paid once per process (``cache=True`` persists the
-machine code across processes where numba's cache directory allows).
+numpy shim — with a once-per-process warning — when it did not.  The
+undecorated bodies stay plain Python, so the tests run them against the
+numpy kernel on machines without numba.  JIT compilation is paid once
+per process (``cache=True`` persists the machine code across processes
+where numba's cache directory allows).
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-__all__ = ["AVAILABLE", "DETAIL", "assemble", "update_step", "fire_step"]
+from . import PassParams, PassResult
+
+__all__ = ["AVAILABLE", "DETAIL", "assemble", "run_pass"]
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
@@ -64,104 +71,150 @@ def _assemble(offsets, idx_flat, w_flat, flat):  # pragma: no cover - jit body
 
 
 @_jit
-def _update_step(
-    state, tlus, t, leak, neuron_idx, weights, event_idx, n_events,
-    neuron_lo, neuron_hi, window, vlo, vhi,
+def _run_pass(
+    state, tlu, idx, w, ev, ev_t, t0, n_steps, neuron_lo, neuron_hi,
+    cps, window, fire_cycles, fifo_slack, leak, threshold, vlo, vhi,
 ):  # pragma: no cover - jit body
-    n_clusters, per_cluster = state.shape
+    n_rows, per = state.shape
+    n_slices = n_rows // cps
     flat = state.reshape(-1)
-    counts = np.zeros((n_events, n_clusters), np.int64)
-    touched = np.zeros(n_clusters, np.bool_)
-    n_in = 0
-    for k in range(neuron_idx.shape[0]):
-        g = neuron_idx[k]
-        if g < neuron_lo or g >= neuron_hi:
-            continue
-        local = g - neuron_lo
-        c = local // per_cluster
-        if not touched[c]:
-            touched[c] = True
-            if leak > 0:
-                dt = t - tlus[c]
-                if dt > 0:
-                    dec = leak * dt
-                    base = c * per_cluster
-                    for j in range(per_cluster):
-                        v = flat[base + j]
-                        if v > 0:
-                            v -= dec
-                            flat[base + j] = v if v > 0 else 0
-                        elif v < 0:
-                            v += dec
-                            flat[base + j] = v if v < 0 else 0
-        counts[event_idx[k], c] += 1
-        n_in += 1
-        v = flat[local] + weights[k]
-        if v > vhi:
-            v = vhi
-        elif v < vlo:
-            v = vlo
-        flat[local] = v
-    cycles = np.empty(n_events, np.int64)
-    per_cluster_updates = np.zeros(n_clusters, np.int64)
-    events_touching = np.zeros(n_clusters, np.int64)
-    overrun_total = 0
-    for e in range(n_events):
-        m = 0
-        for c in range(n_clusters):
-            cc = counts[e, c]
-            if cc > m:
-                m = cc
-            per_cluster_updates[c] += cc
-            if cc > 0:
-                events_touching[c] += 1
-        over = m - window
-        if over > 0:
-            overrun_total += over
-            cycles[e] = window + over
-        else:
-            cycles[e] = window
-    return cycles, per_cluster_updates, events_touching, n_in, overrun_total
-
-
-@_jit
-def _fire_step(
-    state, dts, leak, threshold, neuron_lo, neuron_hi, plane, out_width,
-):  # pragma: no cover - jit body
-    n_clusters, per_cluster = state.shape
-    cap = n_clusters * per_cluster
-    f_ch = np.empty(cap, np.int64)
-    f_x = np.empty(cap, np.int64)
-    f_y = np.empty(cap, np.int64)
-    fires = np.zeros(n_clusters, np.int64)
+    n_valid = neuron_hi - neuron_lo
+    n_ev = ev_t.shape[0]
+    n_entries = idx.shape[0]
+    step_cycles = np.zeros(n_steps, np.int64)
+    step_sops = np.zeros(n_steps, np.int64)
+    step_gated = np.zeros(n_steps, np.int64)
+    step_outputs = np.zeros(n_steps, np.int64)
+    slice_update = np.zeros(n_slices, np.int64)
+    slice_sops = np.zeros(n_slices, np.int64)
+    slice_outputs = np.zeros(n_slices, np.int64)
+    slice_stall = np.zeros(n_slices, np.int64)
+    slice_overrun = np.zeros(n_slices, np.int64)
+    cl_updates = np.zeros(n_rows, np.int64)
+    cl_seen = np.zeros(n_rows, np.int64)
+    cl_fires = np.zeros(n_rows, np.int64)
+    cl_skipped = np.zeros(n_rows, np.int64)
+    count = np.zeros(n_rows, np.int64)  # the current event's updates per cluster
+    ev_rows = np.empty(n_rows, np.int64)  # clusters the current event reached
+    slice_max = np.zeros(n_slices, np.int64)
+    slice_fired = np.zeros(n_slices, np.int64)
+    touched_at = np.full(n_rows, t0 - 1, np.int64)
+    step_rows = np.empty(n_rows, np.int64)  # clusters touched this timestep
+    out_t = np.empty(64, np.int64)
+    out_loc = np.empty(64, np.int64)
     m = 0
-    for c in range(n_clusters):
-        dec = leak * dts[c]
-        base = neuron_lo + c * per_cluster
-        for j in range(per_cluster):
-            v = state[c, j]
-            if dec > 0:
-                if v > 0:
-                    v -= dec
-                    if v < 0:
-                        v = 0
-                elif v < 0:
-                    v += dec
-                    if v > 0:
-                        v = 0
-            if v >= threshold:
-                state[c, j] = 0
-                fires[c] += 1
-                linear = base + j
-                if linear < neuron_hi:
-                    ch = linear // plane
-                    rem = linear - ch * plane
-                    i = rem // out_width
-                    f_ch[m] = ch
-                    f_x[m] = rem - i * out_width
-                    f_y[m] = i
-                    m += 1
-    return f_ch[:m].copy(), f_x[:m].copy(), f_y[:m].copy(), fires
+    e = 0
+    k = 0
+    for s in range(n_steps):
+        t = t0 + s
+        n_touched = 0
+        n_step_ev = 0
+        while e < n_ev and ev_t[e] == t:
+            n_er = 0
+            while k < n_entries and ev[k] == e:
+                g = idx[k]
+                if g >= neuron_lo and g < neuron_hi:
+                    loc = g - neuron_lo
+                    r = loc // per
+                    if touched_at[r] != t:  # first touch: TLU catch-up
+                        touched_at[r] = t
+                        step_rows[n_touched] = r
+                        n_touched += 1
+                        dt = t - tlu[r]
+                        if dt > 1:
+                            cl_skipped[r] += dt - 1
+                        if leak > 0 and dt > 0:
+                            dec = leak * dt
+                            base = r * per
+                            for j in range(per):
+                                v = flat[base + j]
+                                if v > 0:
+                                    v -= dec
+                                    flat[base + j] = v if v > 0 else 0
+                                elif v < 0:
+                                    v += dec
+                                    flat[base + j] = v if v < 0 else 0
+                        tlu[r] = t
+                    if count[r] == 0:
+                        ev_rows[n_er] = r
+                        n_er += 1
+                    count[r] += 1
+                    v = flat[loc] + w[k]
+                    if v > vhi:
+                        v = vhi
+                    elif v < vlo:
+                        v = vlo
+                    flat[loc] = v
+                k += 1
+            for i in range(n_er):
+                r = ev_rows[i]
+                c = count[r]
+                sl = r // cps
+                cl_updates[r] += c
+                cl_seen[r] += 1
+                slice_sops[sl] += c
+                step_sops[s] += c
+                if c > slice_max[sl]:
+                    slice_max[sl] = c
+            ev_over = 0
+            for i in range(n_er):
+                r = ev_rows[i]
+                count[r] = 0
+                sl = r // cps
+                over = slice_max[sl] - window
+                slice_max[sl] = 0  # each slice counted once per event
+                if over > 0:
+                    slice_overrun[sl] += over
+                    slice_update[sl] += over
+                    step_gated[s] += cps * over
+                    if over > ev_over:
+                        ev_over = over
+            step_cycles[s] += window + ev_over
+            n_step_ev += 1
+            e += 1
+        step_gated[s] += cps * n_slices * window * n_step_ev - step_sops[s]
+        # Fire scan of the touched clusters, in cluster order; each was
+        # just brought to TLU == t, so no decay applies.
+        rows = np.sort(step_rows[:n_touched])
+        for i in range(n_touched):
+            r = rows[i]
+            base = r * per
+            for j in range(per):
+                if flat[base + j] >= threshold:
+                    flat[base + j] = 0
+                    cl_fires[r] += 1
+                    if base + j < n_valid:
+                        if m == out_t.shape[0]:
+                            grown_t = np.empty(2 * m, np.int64)
+                            grown_loc = np.empty(2 * m, np.int64)
+                            grown_t[:m] = out_t
+                            grown_loc[:m] = out_loc
+                            out_t = grown_t
+                            out_loc = grown_loc
+                        out_t[m] = t
+                        out_loc[m] = base + j
+                        m += 1
+                        slice_fired[r // cps] += 1
+        stall_max = 0
+        for sl in range(n_slices):
+            f = slice_fired[sl]
+            slice_fired[sl] = 0
+            slice_outputs[sl] += f
+            step_outputs[s] += f
+            stall = f - fifo_slack
+            if stall > 0:
+                slice_stall[sl] += stall
+                if stall > stall_max:
+                    stall_max = stall
+        step_cycles[s] += fire_cycles + stall_max
+    for sl in range(n_slices):
+        slice_update[sl] += n_ev * window
+    return (
+        step_cycles, step_sops, step_gated, step_outputs,
+        slice_update, slice_sops, slice_outputs, slice_stall, slice_overrun,
+        cl_updates, cl_seen, cl_fires, cl_skipped,
+        out_t[:m].copy(), out_loc[:m].copy(),
+    )
 
 
 def assemble(offsets, idx_flat, w_flat, flat):
@@ -169,22 +222,22 @@ def assemble(offsets, idx_flat, w_flat, flat):
     return _assemble(offsets, idx_flat, w_flat, flat)
 
 
-def update_step(
-    state, tlus, t, leak, neuron_idx, weights, event_idx, n_events,
-    neuron_lo, neuron_hi, window, vlo, vhi,
-):
-    """Fused UPDATE step (jit): same contract as the numpy shim."""
-    return _update_step(
-        state, tlus, int(t), int(leak),
+def run_pass(
+    state, tlu, neuron_idx, weights, event_idx, event_t, t0, n_steps,
+    neuron_lo, neuron_hi, params: PassParams, clock=None,
+) -> PassResult:
+    """One fused pass (jit): same contract as the numpy shim.
+
+    The body has no stage boundaries a clock could see, so ``clock``
+    books all of it as the per-step update.
+    """
+    c0 = time.perf_counter() if clock is not None else 0.0
+    result = PassResult(*_run_pass(
+        state, tlu,
         np.ascontiguousarray(neuron_idx), np.ascontiguousarray(weights),
-        np.ascontiguousarray(event_idx), int(n_events),
-        int(neuron_lo), int(neuron_hi), int(window), int(vlo), int(vhi),
-    )
-
-
-def fire_step(state, dts, leak, threshold, neuron_lo, neuron_hi, plane, out_width):
-    """Fused TDM fire scan (jit): same contract as the numpy shim."""
-    return _fire_step(
-        state, np.ascontiguousarray(dts), int(leak), int(threshold),
-        int(neuron_lo), int(neuron_hi), int(plane), int(out_width),
-    )
+        np.ascontiguousarray(event_idx), np.ascontiguousarray(event_t, dtype=np.int64),
+        int(t0), int(n_steps), int(neuron_lo), int(neuron_hi), *map(int, params),
+    ))
+    if clock is not None:
+        clock[1] += time.perf_counter() - c0
+    return result

@@ -1,20 +1,29 @@
-"""Pure-numpy kernel shim: the always-available batched fallback.
+"""Pure-numpy pass kernel: the always-available fallback.
 
-These are the vectorised stage implementations that previously lived
-inline in :mod:`repro.hw.slice` / :mod:`repro.hw.mapper`, restated
-against the :class:`~repro.hw.kernels.KernelSet` contract so the numba
-backend can replace them call-for-call.  Bit-identity with the per-event
-reference is the load-bearing property: the saturating accumulate keeps
-the stable-sort + prefix-sum fast path with exact serial replay of the
-(rare) saturating neurons, and every counter is computed from the same
-quantities the reference path counts.
+:func:`run_pass` plans a whole pass with a few vector calls over every
+assembled entry — address filter, per-(event, cluster) sequencer
+counts, the (timestep, cluster) touch matrix that yields every TLU
+distance, and the per-(timestep, neuron) accumulate groups — so the
+timestep loop is left with the state arithmetic alone.  Bit-identity
+with the per-event reference is the load-bearing property: the
+saturating accumulate keeps the stable-sort + partial-sum fast path,
+the (rare) neurons that do saturate replay their updates serially, and
+every counter is computed from the same quantities the reference path
+counts.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-__all__ = ["assemble", "update_step", "fire_step", "scan_accumulate"]
+from . import PassParams, PassResult
+
+__all__ = ["assemble", "run_pass"]
+
+_pc = time.perf_counter
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def assemble(
@@ -33,138 +42,189 @@ def assemble(
     sizes = offsets[flat + 1] - offsets[flat]
     total = int(sizes.sum())
     if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
+        return _EMPTY, _EMPTY, _EMPTY
     ev = np.repeat(np.arange(flat.size, dtype=np.int64), sizes)
     starts = np.cumsum(sizes) - sizes
     src = np.arange(total, dtype=np.int64) - np.repeat(starts - offsets[flat], sizes)
     return idx_flat[src], w_flat[src], ev
 
 
-def scan_accumulate(
-    flat_state: np.ndarray, idx: np.ndarray, w: np.ndarray, lo: int, hi: int
-) -> None:
-    """Saturating accumulate of one step's entries, in event order.
-
-    ``idx`` is slice-local (0-based) into ``flat_state`` and ``w``
-    parallel to it, both concatenated in event order.  Saturation stays
-    per event: entries group per neuron (stable sort keeps event order),
-    prefix sums find the neurons whose running value never leaves
-    ``[lo, hi]`` — for those every clip is a no-op and the whole
-    sequence collapses into one add — and the rare saturating neurons
-    replay their updates serially.  Bit-identical to the per-event
-    :meth:`~repro.hw.cluster.Cluster.apply_update` chain.
-    """
-    n = idx.size
-    entry_state = flat_state[idx]
-    order = np.argsort(idx, kind="stable")
-    sn = idx[order]
-    sw = w[order]
-    change = np.flatnonzero(sn[1:] != sn[:-1]) + 1
-    starts = np.concatenate((np.zeros(1, dtype=np.int64), change))
-    ends = np.concatenate((change, np.array([n], dtype=np.int64))) - 1
-    cs = np.cumsum(sw)
-    seg_base = np.repeat(cs[starts] - sw[starts], np.diff(np.append(starts, n)))
-    running = entry_state[order] + (cs - seg_base)
-    neurons = sn[starts]
-    safe = (np.maximum.reduceat(running, starts) <= hi) & (
-        np.minimum.reduceat(running, starts) >= lo
-    )
-    final = running[ends].copy()
-    for k in np.flatnonzero(~safe):  # saturating accumulations replay serially
-        v = int(entry_state[order[starts[k]]])
-        for dw in sw[starts[k] : ends[k] + 1]:
-            v = min(hi, max(lo, v + int(dw)))
-        final[k] = v
-    flat_state[neurons] = final
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Offsets where each run of equal values of non-empty ``keys`` starts."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
-def update_step(
+def _isum(keys: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Integer ``values`` summed per key in ``[0, n)``."""
+    return np.bincount(keys, weights=values, minlength=n).astype(np.int64)
+
+
+def run_pass(
     state: np.ndarray,
-    tlus: np.ndarray,
-    t: int,
-    leak: int,
+    tlu: np.ndarray,
     neuron_idx: np.ndarray,
     weights: np.ndarray,
     event_idx: np.ndarray,
-    n_events: int,
+    event_t: np.ndarray,
+    t0: int,
+    n_steps: int,
     neuron_lo: int,
     neuron_hi: int,
-    window: int,
-    vlo: int,
-    vhi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Apply one timestep's UPDATE events to a slice's state matrix.
+    params: PassParams,
+    clock: list | None = None,
+) -> PassResult:
+    """One pass over timesteps ``[t0, t0 + n_steps)``; see :class:`KernelSet`."""
+    if clock is not None:
+        c0 = _pc()
+    cps, window, fire_cycles, fifo_slack, leak, threshold, vlo, vhi = params
+    n_rows, per = state.shape
+    n_slices = n_rows // cps
+    n_ev = event_t.size
+    ev_step = event_t - t0
+    ev_per_step = np.bincount(ev_step, minlength=n_steps)
+    step_cycles = ev_per_step * window + fire_cycles
+    step_gated = (cps * n_slices * window) * ev_per_step
+    slice_update = np.full(n_slices, n_ev * window, dtype=np.int64)
+    zeros_s = np.zeros(n_slices, dtype=np.int64)
+    zeros_c = np.zeros(n_rows, dtype=np.int64)
+    local, w, ev = neuron_idx, weights, event_idx
+    if local.size and (local.min() < neuron_lo or local.max() >= neuron_hi):
+        keep = (local >= neuron_lo) & (local < neuron_hi)  # the address filter
+        local, w, ev = local[keep], w[keep], ev[keep]
+    n = local.size
+    if n == 0:  # nothing reaches this pass's neurons: every cluster gated
+        if clock is not None:
+            clock[0] += _pc() - c0
+        return PassResult(
+            step_cycles, np.zeros(n_steps, dtype=np.int64), step_gated,
+            np.zeros(n_steps, dtype=np.int64), slice_update, zeros_s, zeros_s,
+            zeros_s, zeros_s, zeros_c, zeros_c, zeros_c, zeros_c, _EMPTY, _EMPTY,
+        )
+    if neuron_lo:
+        local = local - neuron_lo
+    step = ev_step[ev]
 
-    ``state`` is the contiguous ``(n_clusters, neurons_per_cluster)``
-    membrane matrix, mutated in place: touched clusters catch up their
-    leak first (the TLU mechanism), then the saturating accumulate runs
-    in event order.  Returns ``(cycles, per_cluster_updates,
-    events_touching, n_in_range, overrun_cycles)`` where ``cycles[k]``
-    is exactly what the per-event reference charges event ``k``.
-    """
-    n_clusters, per_cluster = state.shape
-    in_range = (neuron_idx >= neuron_lo) & (neuron_idx < neuron_hi)
-    idx = neuron_idx[in_range] - neuron_lo
-    w = weights[in_range]
-    ev = event_idx[in_range]
-
-    cluster_ids = idx // per_cluster
-    counts = np.bincount(
-        ev * n_clusters + cluster_ids, minlength=n_events * n_clusters
-    ).reshape(n_events, n_clusters)
-    max_updates = counts.max(axis=1) if n_events else np.zeros(0, dtype=np.int64)
-    overrun = np.maximum(max_updates - window, 0)
-    cycles = window + overrun
-    per_cluster_updates = counts.sum(axis=0)
-    events_touching = (counts > 0).sum(axis=0)
-
-    if leak > 0:
-        touched = np.flatnonzero(events_touching)
-        if touched.size:
-            dt = (t - tlus[touched])[:, None]
-            rows = state[touched]
-            state[touched] = np.sign(rows) * np.maximum(np.abs(rows) - leak * dt, 0)
-
-    if idx.size:
-        scan_accumulate(state.reshape(-1), idx, w, vlo, vhi)
-    return cycles, per_cluster_updates, events_touching, int(idx.size), int(overrun.sum())
-
-
-def fire_step(
-    state: np.ndarray,
-    dts: np.ndarray,
-    leak: int,
-    threshold: int,
-    neuron_lo: int,
-    neuron_hi: int,
-    plane: int,
-    out_width: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One TDM fire scan across every cluster of a slice.
-
-    Compares the *effective* membrane (stored value decayed by the
-    per-cluster TLU distance, never written back) against the
-    threshold, zeroes every fired membrane in place, and translates the
-    fired TDM slots inside ``[neuron_lo, neuron_hi)`` to output
-    ``(ch, x, y)`` coordinates.  Slots beyond the mapped interval stay
-    silent but are still cleared and counted — the reference scan's
-    exact behaviour.  Returns ``(out_ch, out_x, out_y,
-    fires_per_cluster)`` int64 arrays in cluster-major scan order.
-    """
-    n_clusters, per_cluster = state.shape
-    if leak > 0:
-        effective = np.sign(state) * np.maximum(np.abs(state) - leak * dts[:, None], 0)
+    # Sequencer: updates per (event, cluster).  Fanouts ascend within an
+    # event, so the pair keys arrive sorted; each event costs the window
+    # plus the overrun of its busiest cluster, per slice and overall.
+    p0 = _run_starts(ev * n_rows + local // per)
+    p_count = np.diff(np.append(p0, n))
+    p_ev = ev[p0]
+    p_row = local[p0] // per
+    p_slice = p_row // cps
+    e0 = _run_starts(p_ev * n_slices + p_slice)
+    over = np.maximum(np.maximum.reduceat(p_count, e0) - window, 0)
+    e_ev = p_ev[e0]
+    if over.any():
+        v0 = _run_starts(e_ev)
+        ev_over = np.zeros(n_ev, dtype=np.int64)
+        ev_over[e_ev[v0]] = np.maximum.reduceat(over, v0)
+        slice_overrun = _isum(p_slice[e0], over, n_slices)
+        slice_update += slice_overrun
+        step_cycles += _isum(ev_step, ev_over, n_steps)
+        step_gated += cps * _isum(ev_step[e_ev], over, n_steps)
     else:
-        effective = state
-    mask = effective >= threshold
-    fired_c, fired_n = np.nonzero(mask)
-    fires = np.bincount(fired_c, minlength=n_clusters)
-    state[fired_c, fired_n] = 0
-    linear = neuron_lo + fired_c * per_cluster + fired_n
-    lin = linear[linear < neuron_hi]
-    out_ch = lin // plane
-    rem = lin - out_ch * plane
-    out_y = rem // out_width
-    out_x = rem - out_y * out_width
-    return out_ch, out_x, out_y, fires
+        slice_overrun = zeros_s
+    step_sops = _isum(ev_step[p_ev], p_count, n_steps)
+    step_gated -= step_sops
+    cluster_updates = _isum(p_row, p_count, n_rows)
+    slice_sops = cluster_updates.reshape(n_slices, cps).sum(axis=1)
+    cluster_seen = np.bincount(p_row, minlength=n_rows)
+
+    # TLU: the (timestep, cluster) touch matrix.  A running max of the
+    # touch times gives each touch its predecessor, hence the leak
+    # distance and the idle steps the register collapsed.
+    touched = np.zeros((n_steps, n_rows), dtype=bool)
+    touched[ev_step[p_ev], p_row] = True
+    t_step, t_row = np.nonzero(touched)  # step-major, clusters ascending
+    last = np.where(touched, np.arange(t0, t0 + n_steps)[:, None], tlu)
+    np.maximum.accumulate(last, axis=0, out=last)
+    dt = (t_step + t0) - np.where(t_step > 0, last[t_step - 1, t_row], tlu[t_row])
+    cluster_skipped = _isum(t_row, np.maximum(dt - 1, 0), n_rows)
+    tlu[:] = last[-1]
+    t_bound = np.zeros(n_steps + 1, dtype=np.int64)
+    np.cumsum(touched.sum(axis=1), out=t_bound[1:])
+    decay = (leak * dt)[:, None] if leak > 0 else None
+
+    # Accumulate groups: entries per (timestep, neuron) in event order
+    # (stable sort).  A group whose running sum never leaves the rails
+    # from its entry state collapses into one add; the others clip.
+    key = step * (n_rows * per) + local
+    order = np.argsort(key, kind="stable")
+    g0 = _run_starts(key[order])
+    g_end = np.append(g0[1:], n) - 1
+    sw = w[order]
+    cs = np.cumsum(sw)
+    g_base = cs[g0] - sw[g0]  # running sum before each group
+    g_max = np.maximum.reduceat(cs, g0) - g_base
+    g_min = np.minimum.reduceat(cs, g0) - g_base
+    g_total = cs[g_end] - g_base
+    g_entry = order[g0]
+    g_neuron = local[g_entry]
+    g_bound = np.zeros(n_steps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(step[g_entry], minlength=n_steps), out=g_bound[1:])
+    t_b, g_b = t_bound.tolist(), g_bound.tolist()
+
+    flat = state.reshape(-1)
+    fired_steps, fired_counts, fired = [], [], []
+    if clock is not None:
+        c1 = _pc()
+        clock[0] += c1 - c0
+    for s in np.flatnonzero(t_bound[1:] > t_bound[:-1]).tolist():
+        a, b = t_b[s], t_b[s + 1]
+        rows = t_row[a:b]
+        if decay is not None:
+            sub = state[rows]
+            state[rows] = np.sign(sub) * np.maximum(np.abs(sub) - decay[a:b], 0)
+        ga, gb = g_b[s], g_b[s + 1]
+        neurons = g_neuron[ga:gb]
+        e = flat[neurons]
+        new = e + g_total[ga:gb]
+        clip = np.flatnonzero((e + g_max[ga:gb] > vhi) | (e + g_min[ga:gb] < vlo))
+        for k in clip.tolist():  # saturating accumulations replay serially
+            v = int(e[k])
+            for dw in sw[g0[ga + k] : g_end[ga + k] + 1].tolist():
+                v = min(vhi, max(vlo, v + dw))
+            new[k] = v
+        flat[neurons] = new
+        if clock is not None:
+            c2 = _pc()
+            clock[1] += c2 - c1
+        # The touched rows are up to date (TLU == this step): no decay.
+        f_r, f_j = np.nonzero(state[rows] >= threshold)
+        if f_r.size:
+            f_row = rows[f_r]
+            state[f_row, f_j] = 0
+            fired_steps.append(s)
+            fired_counts.append(f_r.size)
+            fired.append(f_row * per + f_j)
+        if clock is not None:
+            c1 = _pc()
+            clock[2] += c1 - c2
+
+    if fired:
+        f_step = np.repeat(np.array(fired_steps, dtype=np.int64), fired_counts)
+        f_local = np.concatenate(fired)
+        cluster_fires = np.bincount(f_local // per, minlength=n_rows)
+        valid = f_local < neuron_hi - neuron_lo  # TDM slots past the interval stay silent
+        f_step = f_step[valid]
+        f_local = f_local[valid]
+        per_slice = np.bincount(
+            f_step * n_slices + f_local // (per * cps), minlength=n_steps * n_slices
+        ).reshape(n_steps, n_slices)
+        stall = np.maximum(per_slice - fifo_slack, 0)
+        step_cycles += stall.max(axis=1)
+        step_outputs = per_slice.sum(axis=1)
+        slice_outputs = per_slice.sum(axis=0)
+        slice_stall = stall.sum(axis=0)
+    else:
+        f_step = f_local = _EMPTY
+        cluster_fires = zeros_c
+        step_outputs = np.zeros(n_steps, dtype=np.int64)
+        slice_outputs = slice_stall = zeros_s
+    return PassResult(
+        step_cycles, step_sops, step_gated, step_outputs,
+        slice_update, slice_sops, slice_outputs, slice_stall, slice_overrun,
+        cluster_updates, cluster_seen, cluster_fires, cluster_skipped,
+        f_step + t0, f_local,
+    )

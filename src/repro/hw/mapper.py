@@ -261,8 +261,8 @@ class FanoutTable:
 
     The per-event path recomputes the receptive-field arithmetic for
     every event; a run replays the same few thousand input coordinates
-    thousands of times, so the vectorised event loop resolves whole
-    timesteps through this table's :class:`PackedFanout` instead.  It
+    thousands of times, so the vectorised event loop resolves a whole
+    input stream through this table's :class:`PackedFanout` instead.  It
     is built once, in one vectorised pass: conv/depthwise fanouts from
     :func:`_axis_taps` broadcast over ``[c_in, y, x, (c_out), tap_i,
     tap_j]``, dense fanouts from the weight matrix, each compressed by

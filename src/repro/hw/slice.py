@@ -16,8 +16,7 @@ import numpy as np
 
 from .cluster import Cluster
 from .config import SNEConfig
-from .kernels import KernelSet, resolve_kernel
-from .lif_datapath import fire_mask, leak_catchup, state_bounds
+from .lif_datapath import fire_mask, leak_catchup
 from .mapper import LayerProgram
 
 __all__ = ["Slice", "SliceStats"]
@@ -42,16 +41,23 @@ class SliceStats:
 class Slice:
     """One slice configured with (a pass of) a layer program."""
 
-    def __init__(self, config: SNEConfig, slice_idx: int = 0) -> None:
+    def __init__(
+        self, config: SNEConfig, slice_idx: int = 0, state: np.ndarray | None = None
+    ) -> None:
         self.config = config
         self.slice_idx = slice_idx
         # One contiguous (clusters, neurons) membrane matrix; each
-        # cluster owns a row view.  The compiled kernels scan/accumulate
-        # the matrix directly, the per-event reference goes through the
-        # cluster views — same storage, so the paths cannot drift.
-        self.state = np.zeros(
-            (config.clusters_per_slice, config.neurons_per_cluster), dtype=np.int64
-        )
+        # cluster owns a row view.  ``state`` may itself be a row block
+        # of the owning SNE's buffer, so the pass kernels run over every
+        # slice of a pass as one matrix while the per-event reference
+        # goes through the cluster views — same storage, so the paths
+        # cannot drift.
+        shape = (config.clusters_per_slice, config.neurons_per_cluster)
+        if state is None:
+            state = np.zeros(shape, dtype=np.int64)
+        elif state.shape != shape or state.dtype != np.int64:
+            raise ValueError(f"slice state must be an int64 {shape} matrix")
+        self.state = state
         self.clusters = [
             Cluster(
                 n_neurons=config.neurons_per_cluster,
@@ -154,79 +160,6 @@ class Slice:
         self.stats.busy_cycles += cycles
         return cycles
 
-    def process_update_step(
-        self,
-        t: int,
-        neuron_idx: np.ndarray,
-        weights: np.ndarray,
-        event_idx: np.ndarray,
-        n_events: int,
-        kernels: KernelSet | None = None,
-    ) -> np.ndarray:
-        """Process all UPDATE events of one timestep in one batch.
-
-        ``neuron_idx``/``weights``/``event_idx`` are the concatenated
-        per-event fanouts assembled by a
-        :class:`~repro.hw.mapper.FanoutTable` (global linear neuron
-        indices, in event order); ``n_events`` is the number of events
-        broadcast this step, including those whose fanout is empty.
-        The state arithmetic — address filter, first-touch leak
-        catch-up, saturating accumulate, sequencer counts — runs in the
-        selected :class:`~repro.hw.kernels.KernelSet` (the numpy shim
-        when ``kernels`` is None); this wrapper keeps the TLU registers
-        and per-cluster counters, which every kernel feeds identically.
-        Returns the per-event cycle counts — element ``k`` is exactly
-        what :meth:`process_update` would have returned for event ``k``
-        — and leaves every counter (slice, cluster, gating, overrun)
-        bit-identical to the per-event path.
-        """
-        program = self._require_program()
-        cfg = self.config
-        ks = kernels if kernels is not None else resolve_kernel("numpy")
-        n_clusters = cfg.clusters_per_slice
-        tlus = np.fromiter(
-            (c.tlu for c in self.clusters), dtype=np.int64, count=n_clusters
-        )
-        late = np.flatnonzero(tlus > t)
-        if late.size:
-            raise ValueError(
-                f"event time {t} precedes cluster TLU {int(tlus[late[0]])}; "
-                "streams must be time-sorted"
-            )
-        vlo, vhi = state_bounds(cfg.state_bits)
-        cycles, per_cluster_updates, events_touching, n_in, overrun_total = (
-            ks.update_step(
-                self.state, tlus, t, program.leak,
-                neuron_idx, weights, event_idx, int(n_events),
-                self._neuron_lo, self._neuron_hi, cfg.cycles_per_event, vlo, vhi,
-            )
-        )
-
-        # Per-cluster bookkeeping: TLU advance for the touched ones,
-        # activity/gating counters for all (the kernel already applied
-        # the decay itself).
-        for c, cluster in enumerate(self.clusters):
-            seen = int(events_touching[c])
-            if seen:
-                dt = t - cluster.tlu
-                if dt > 1:
-                    cluster.stats.tlu_skipped_steps += dt - 1
-                cluster.tlu = t
-                cluster.stats.updates += int(per_cluster_updates[c])
-                cluster.stats.events_seen += seen
-            gated = n_events - seen
-            if gated:
-                cluster.stats.events_gated += gated
-
-        total_cycles = int(cycles.sum())
-        self.stats.update_events += int(n_events)
-        self.stats.sops += int(n_in)
-        self.stats.active_cluster_cycles += int(n_in)
-        self.stats.gated_cluster_cycles += n_clusters * total_cycles - int(n_in)
-        self.stats.sequencer_overrun_cycles += int(overrun_total)
-        self.stats.busy_cycles += total_cycles
-        return cycles
-
     def process_fire(self, t: int) -> tuple[list[tuple[int, int, int, int]], int]:
         """FIRE_OP: scan every TDM neuron; emit (t, ch, x, y) output events.
 
@@ -287,47 +220,6 @@ class Slice:
         self.stats.busy_cycles += cycles
         return events, cycles
 
-    def process_fire_packed(
-        self, t: int, kernels: KernelSet | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """FIRE_OP through a compiled kernel, events as packed arrays.
-
-        Same scan as :meth:`process_fire` — effective membrane against
-        the threshold, fired states zeroed, TDM slots beyond the mapped
-        interval silenced, identical cycle/stall/fire accounting — but
-        the emitted events come back as ``(out_ch, out_x, out_y)``
-        int64 arrays instead of a Python tuple list, which is what lets
-        the pipelined fire→next-layer hop skip the list round trip.
-        Returns ``(out_ch, out_x, out_y, cycles)``.
-        """
-        program = self._require_program()
-        cfg = self.config
-        ks = kernels if kernels is not None else resolve_kernel("numpy")
-        geometry = program.geometry
-        plane = geometry.out_height * geometry.out_width
-        tlus = np.fromiter((c.tlu for c in self.clusters), dtype=np.int64,
-                           count=len(self.clusters))
-        late = np.flatnonzero(t < tlus)
-        if late.size:
-            raise ValueError(
-                f"fire time {t} precedes cluster TLU {int(tlus[late[0]])}; "
-                "streams must be time-sorted"
-            )
-        out_ch, out_x, out_y, fires = ks.fire_step(
-            self.state, t - tlus, program.leak, program.threshold,
-            self._neuron_lo, self._neuron_hi, plane, geometry.out_width,
-        )
-        for c in np.flatnonzero(fires):
-            self.clusters[int(c)].stats.fires += int(fires[c])
-        total_fired = int(out_ch.size)
-        stall = self.stats_fifo_penalty(total_fired)
-        cycles = cfg.cycles_per_fire + stall
-        self.stats.fifo_stall_cycles += stall
-        self.stats.fire_events += 1
-        self.stats.output_events += total_fired
-        self.stats.busy_cycles += cycles
-        return out_ch, out_x, out_y, cycles
-
     def stats_fifo_penalty(self, total_fired: int) -> int:
         """Extra cycles when one fire burst exceeds the drain bandwidth.
 
@@ -335,9 +227,7 @@ class Slice:
         event per cycle; events beyond that and beyond the FIFO slack
         lengthen the operation.
         """
-        cfg = self.config
-        slack = cfg.cycles_per_fire + cfg.cluster_fifo_depth * cfg.clusters_per_slice
-        return max(0, total_fired - slack)
+        return max(0, total_fired - self.config.fire_slack)
 
     # -- inspection ----------------------------------------------------------
     def membrane_snapshot(self) -> np.ndarray:

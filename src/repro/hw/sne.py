@@ -26,8 +26,9 @@ import numpy as np
 
 from ..events.stream import EventStream
 from .config import SNEConfig
-from .kernels import resolve_kernel
-from .mapper import LayerProgram, fanout_table
+from .kernels import PassParams, PassResult, resolve_kernel
+from .lif_datapath import state_bounds
+from .mapper import LayerGeometry, LayerProgram, fanout_table
 from .registers import RegisterFile
 from .slice import Slice
 from .xbar import Crossbar
@@ -93,7 +94,16 @@ class SNE:
 
     def __init__(self, config: SNEConfig | None = None) -> None:
         self.config = config or SNEConfig()
-        self.slices = [Slice(self.config, i) for i in range(self.config.n_slices)]
+        cfg = self.config
+        # One membrane buffer for every slice.  The slices of a pass (or
+        # of a layer-parallel group) are contiguous row blocks, so the
+        # pass kernels treat them as one (clusters, neurons) matrix.
+        cps = cfg.clusters_per_slice
+        self.state = np.zeros((cfg.n_slices * cps, cfg.neurons_per_cluster), dtype=np.int64)
+        self.slices = [
+            Slice(cfg, i, state=self.state[i * cps : (i + 1) * cps])
+            for i in range(cfg.n_slices)
+        ]
         # Masters: 2 DMAs + collector; slaves: the slices + output DMA port.
         self.xbar = Crossbar(
             n_masters=self.config.n_dmas + 1, n_slaves=self.config.n_slices + 1
@@ -122,6 +132,87 @@ class SNE:
             active.append((sl, lo, hi))
         return active
 
+    def _pass_params(self, program: LayerProgram) -> PassParams:
+        cfg = self.config
+        vlo, vhi = state_bounds(cfg.state_bits)
+        return PassParams(
+            cfg.clusters_per_slice, cfg.cycles_per_event, cfg.cycles_per_fire,
+            cfg.fire_slack, program.leak, program.threshold, vlo, vhi,
+        )
+
+    def _absorb(
+        self, slices: list[Slice], res: PassResult, tlu: np.ndarray,
+        n_events: int, n_steps: int,
+    ) -> None:
+        """Write one kernel pass's counters back to the slice and cluster registers."""
+        cps = self.config.clusters_per_slice
+        fire_cycles = n_steps * self.config.cycles_per_fire
+        per_slice = zip(
+            res.slice_update_cycles.tolist(), res.slice_sops.tolist(),
+            res.slice_outputs.tolist(), res.slice_stall.tolist(),
+            res.slice_overrun.tolist(),
+        )
+        per_cluster = zip(
+            tlu.tolist(), res.cluster_updates.tolist(), res.cluster_seen.tolist(),
+            res.cluster_fires.tolist(), res.cluster_skipped.tolist(),
+        )
+        for sl, (cycles, sops, outs, stall, over) in zip(slices, per_slice):
+            st = sl.stats
+            st.busy_cycles += cycles + fire_cycles + stall
+            st.update_events += n_events
+            st.fire_events += n_steps
+            st.sops += sops
+            st.active_cluster_cycles += sops
+            st.gated_cluster_cycles += cps * cycles - sops
+            st.output_events += outs
+            st.fifo_stall_cycles += stall
+            st.sequencer_overrun_cycles += over
+            for cluster, (tlu_c, updates, seen, fires, skipped) in zip(
+                sl.clusters, per_cluster
+            ):
+                cs = cluster.stats
+                cs.events_gated += n_events - seen
+                if seen:  # an untouched cluster neither fires nor moves its TLU
+                    cluster.tlu = tlu_c
+                    cs.updates += updates
+                    cs.events_seen += seen
+                    cs.fires += fires
+                    cs.tlu_skipped_steps += skipped
+
+    @staticmethod
+    def _collect_pass(stats: SNEStats, active, n_events: int, n_steps: int) -> None:
+        """Add one pass's per-slice counters to the run statistics."""
+        for sl, _, _ in active:
+            s = sl.stats
+            stats.sops += s.sops
+            stats.output_events += s.output_events
+            stats.active_cluster_cycles += s.active_cluster_cycles
+            stats.gated_cluster_cycles += s.gated_cluster_cycles
+            stats.fifo_stall_cycles += s.fifo_stall_cycles
+            stats.sequencer_overrun_cycles += s.sequencer_overrun_cycles
+            for cluster in sl.clusters:
+                stats.tlu_skipped_steps += cluster.stats.tlu_skipped_steps
+        stats.update_events += n_events * len(active)
+        stats.fire_events += n_steps * len(active)
+        stats.reset_events += len(active)
+        # DMA traffic: the input image is re-read every pass; outputs
+        # are written once (they are produced across passes).
+        stats.dma_words_in += 1 + n_events + n_steps
+
+    @staticmethod
+    def _emit(
+        geometry: LayerGeometry, n_steps: int, out_t: list, out_lin: list
+    ) -> EventStream:
+        """Output stream from fired (timestep, linear neuron) arrays, decoded once."""
+        if out_t:
+            t = np.concatenate(out_t)
+            lin = np.concatenate(out_lin)
+        else:
+            t = lin = np.zeros(0, dtype=np.int64)
+        ch, rem = np.divmod(lin, geometry.out_height * geometry.out_width)
+        y, x = np.divmod(rem, geometry.out_width)
+        return EventStream(t, ch, x, y, geometry.output_shape(n_steps))
+
     @staticmethod
     def _activity_snapshot(active) -> tuple[int, int, int, int]:
         """(sops, output_events, active_cc, gated_cc) summed over slices."""
@@ -149,22 +240,25 @@ class SNE:
         entry per timestep is recorded (multi-pass runs use the global
         index ``pass * n_steps + step``).
 
-        ``profiler`` (a :class:`repro.runtime.profile.Profiler`)
-        receives per-stage spans — ``sne.assemble`` / ``sne.update`` /
-        ``sne.fire`` / ``sne.reset`` (+ ``sne.trace`` when tracing) —
-        with event counts, at per-pass granularity, plus one
-        ``sne.fanout_build`` around the (memoised) fanout table lookup
-        on the kernel paths.
-
-        ``kernel`` selects the batched stage implementation through the
+        ``kernel`` selects the pass kernel through the
         :mod:`repro.hw.kernels` registry: ``"auto"`` (numba when
         importable, else the numpy shim), ``"numba"``, ``"numpy"``, or
         ``"reference"`` for the retained per-event loop.
         ``batched=False`` also selects the reference loop (the original
-        dispatch the registry mirrors).  Every choice produces
-        bit-identical outputs and statistics (the parity the kernel
+        dispatch the registry mirrors).  On the kernel paths the input
+        stream's fanout is assembled once, and each pass is one
+        ``run_pass`` call whose counters are written back to the slice
+        and cluster registers.  Every choice produces bit-identical
+        outputs, statistics, registers and traces (the parity the kernel
         matrix in ``tests/test_kernels.py`` and the Fig. 5b speedup
         benchmark pin down).
+
+        ``profiler`` (a :class:`repro.runtime.profile.Profiler`)
+        receives per-stage spans with event counts: ``sne.fanout_build``
+        around the (memoised) fanout table lookup, ``sne.assemble`` for
+        the fanout gather and the pass plan, ``sne.update`` for the
+        per-step leak and accumulate, ``sne.fire`` for the fire scans,
+        ``sne.reset`` (+ ``sne.trace`` when tracing).
         """
         cfg = self.config
         program.validate_for(cfg)
@@ -174,25 +268,95 @@ class SNE:
                 f"stream envelope {stream.shape} does not match layer input "
                 f"{g.input_shape(stream.n_steps)}"
             )
-        stats = SNEStats()
         ks = resolve_kernel(kernel) if batched else None
-        out_t, out_ch, out_x, out_y = [], [], [], []
-        fired_parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        n_passes = program.n_passes(cfg)
-        table = packed = None
-        if ks is not None:
-            t0 = _pc() if profiler is not None else 0.0
-            table = fanout_table(program)
-            packed = table.packed()
-            if profiler is not None:
-                profiler.add("sne.fanout_build", _pc() - t0)
+        if ks is None:
+            return self._run_layer_reference(program, stream, trace, profiler)
 
+        stats = SNEStats()
+        n_steps, n_events = stream.n_steps, len(stream)
+        n_passes = program.n_passes(cfg)
+        timed = profiler is not None
+        t0 = _pc() if timed else 0.0
+        table = fanout_table(program)
+        packed = table.packed()
+        if timed:
+            t1 = _pc()
+            profiler.add("sne.fanout_build", t1 - t0)
+        flat = table.flat_ids(stream.ch, stream.x, stream.y)
+        idx, w, ev = ks.assemble(packed.offsets, packed.idx, packed.w, flat)
+        event_t = stream.t.astype(np.int64)
+        params = self._pass_params(program)
+        clock = [_pc() - t1, 0.0, 0.0] if timed else None
+        counts = stream.counts_per_step() if trace is not None else None
+        reset_s = trace_s = 0.0
+        n_active = 0  # slices summed over passes
+        out_t, out_lin = [], []
+        for pass_idx in range(n_passes):
+            pass_lo, pass_hi = program.pass_neuron_range(cfg, pass_idx)
+            active = self._program_pass(program, pass_lo, pass_hi)
+            t0 = _pc() if timed else 0.0
+            for sl, _, _ in active:
+                sl.process_reset(0)
+            if timed:
+                reset_s += _pc() - t0
+            n_rows = len(active) * cfg.clusters_per_slice
+            tlu = np.zeros(n_rows, dtype=np.int64)
+            res = ks.run_pass(
+                self.state[:n_rows], tlu, idx, w, ev, event_t, 0, n_steps,
+                pass_lo, pass_hi, params, clock,
+            )
+            self._absorb([sl for sl, _, _ in active], res, tlu, n_events, n_steps)
+            if trace is not None:
+                from .trace import StepTrace  # trace -> energy -> sne cycle
+
+                t0 = _pc() if timed else 0.0
+                for s, (cyc, sops, gated, outs) in enumerate(zip(
+                    res.step_cycles.tolist(), res.step_sops.tolist(),
+                    res.step_gated.tolist(), res.step_outputs.tolist(),
+                )):
+                    trace.record(StepTrace(
+                        step=pass_idx * n_steps + s, input_events=int(counts[s]),
+                        cycles=cyc, sops=sops, output_events=outs,
+                        active_cluster_cycles=sops, gated_cluster_cycles=gated,
+                    ))
+                if timed:
+                    trace_s += _pc() - t0
+            out_t.append(res.out_t)
+            out_lin.append(res.out_local + pass_lo)
+            stats.cycles += cfg.cycles_per_reset + int(res.step_cycles.sum())
+            stats.xbar_broadcasts += n_events
+            n_active += len(active)
+            self._collect_pass(stats, active, n_events, n_steps)
+        stats.passes = n_passes
+        out_stream = self._emit(g, n_steps, out_t, out_lin)
+        stats.dma_words_out += len(out_stream)
+        if timed:
+            steps = n_steps * n_passes
+            profiler.add("sne.reset", reset_s, count=n_passes, events=n_active)
+            profiler.add("sne.assemble", clock[0], count=steps, events=n_events * n_passes)
+            profiler.add("sne.update", clock[1], count=steps, events=n_events * n_passes)
+            profiler.add("sne.fire", clock[2], count=steps, events=n_steps * n_active)
+            if trace is not None:
+                profiler.add("sne.trace", trace_s, count=steps)
+        return out_stream, stats
+
+    def _run_layer_reference(
+        self, program: LayerProgram, stream: EventStream, trace, profiler
+    ) -> tuple[EventStream, SNEStats]:
+        """The per-event loop: every event through every slice's
+        :meth:`~repro.hw.slice.Slice.process_update`, one
+        :meth:`~repro.hw.slice.Slice.process_fire` per slice and step.
+        The oracle every kernel is checked against."""
+        cfg = self.config
+        stats = SNEStats()
+        out_t, out_ch, out_x, out_y = [], [], [], []
+        n_passes = program.n_passes(cfg)
+        counts = stream.counts_per_step()
         for pass_idx in range(n_passes):
             pass_lo, pass_hi = program.pass_neuron_range(cfg, pass_idx)
             active = self._program_pass(program, pass_lo, pass_hi)
             pass_cycles = 0
-            assemble_s = update_s = fire_s = trace_s = 0.0
-            n_pass_events = 0
+            update_s = fire_s = trace_s = 0.0
 
             # RST bracket
             t0 = _pc() if profiler is not None else 0.0
@@ -202,67 +366,37 @@ class SNE:
             if profiler is not None:
                 profiler.add("sne.reset", _pc() - t0, events=len(active))
 
-            counts = stream.counts_per_step()
             start = 0
             for step in range(stream.n_steps):
                 step_cycles_before = pass_cycles
                 snapshot = self._activity_snapshot(active) if trace is not None else None
                 n = int(counts[step])
-                n_pass_events += n
-                if ks is not None and n:
-                    if profiler is not None:
-                        t0 = _pc()
-                    sel = slice(start, start + n)
-                    flat = table.flat_ids(stream.ch[sel], stream.x[sel], stream.y[sel])
-                    idx, w, ev = ks.assemble(packed.offsets, packed.idx, packed.w, flat)
-                    if profiler is not None:
-                        t1 = _pc()
-                        assemble_s += t1 - t0
-                    event_cycles = None
-                    for sl, _, _ in active:
-                        cyc = sl.process_update_step(step, idx, w, ev, n, kernels=ks)
-                        event_cycles = (
-                            cyc if event_cycles is None else np.maximum(event_cycles, cyc)
-                        )
-                    pass_cycles += int(event_cycles.sum())
-                    stats.xbar_broadcasts += n
-                    if profiler is not None:
-                        update_s += _pc() - t1
-                elif n:  # per-event reference loop
-                    if profiler is not None:
-                        t0 = _pc()
-                    for k in range(start, start + n):
-                        t = int(stream.t[k])
-                        ch, x, y = int(stream.ch[k]), int(stream.x[k]), int(stream.y[k])
-                        event_cycles = cfg.cycles_per_event
-                        for sl, _, _ in active:
-                            event_cycles = max(event_cycles, sl.process_update(t, ch, x, y))
-                        pass_cycles += event_cycles
-                        stats.xbar_broadcasts += 1
-                    if profiler is not None:
-                        update_s += _pc() - t0
-                start += n
                 if profiler is not None:
                     t0 = _pc()
+                for k in range(start, start + n):
+                    t = int(stream.t[k])
+                    ch, x, y = int(stream.ch[k]), int(stream.x[k]), int(stream.y[k])
+                    event_cycles = cfg.cycles_per_event
+                    for sl, _, _ in active:
+                        event_cycles = max(event_cycles, sl.process_update(t, ch, x, y))
+                    pass_cycles += event_cycles
+                    stats.xbar_broadcasts += 1
+                start += n
+                if profiler is not None:
+                    t1 = _pc()
+                    update_s += t1 - t0
                 fire_cycles = cfg.cycles_per_fire
-                if ks is not None:
-                    for sl, _, _ in active:
-                        f_ch, f_x, f_y, cyc = sl.process_fire_packed(step, kernels=ks)
-                        fire_cycles = max(fire_cycles, cyc)
-                        if f_ch.size:
-                            fired_parts.append((step, f_ch, f_x, f_y))
-                else:
-                    for sl, _, _ in active:
-                        events, cyc = sl.process_fire(step)
-                        fire_cycles = max(fire_cycles, cyc)
-                        for (t, o, x, y) in events:
-                            out_t.append(t)
-                            out_ch.append(o)
-                            out_x.append(x)
-                            out_y.append(y)
+                for sl, _, _ in active:
+                    events, cyc = sl.process_fire(step)
+                    fire_cycles = max(fire_cycles, cyc)
+                    for (t, o, x, y) in events:
+                        out_t.append(t)
+                        out_ch.append(o)
+                        out_x.append(x)
+                        out_y.append(y)
                 pass_cycles += fire_cycles
                 if profiler is not None:
-                    fire_s += _pc() - t0
+                    fire_s += _pc() - t1
                 if trace is not None:
                     if profiler is not None:
                         t0 = _pc()
@@ -284,63 +418,25 @@ class SNE:
                         trace_s += _pc() - t0
 
             if profiler is not None:
-                profiler.add("sne.assemble", assemble_s, count=stream.n_steps,
-                             events=n_pass_events)
+                profiler.add("sne.assemble", 0.0, count=stream.n_steps,
+                             events=len(stream))
                 profiler.add("sne.update", update_s, count=stream.n_steps,
-                             events=n_pass_events)
+                             events=len(stream))
                 profiler.add("sne.fire", fire_s, count=stream.n_steps,
                              events=stream.n_steps * len(active))
                 if trace is not None:
                     profiler.add("sne.trace", trace_s, count=stream.n_steps)
-
-            # Collect per-slice counters of the pass.
-            for sl, _, _ in active:
-                s = sl.stats
-                stats.sops += s.sops
-                stats.output_events += s.output_events
-                stats.active_cluster_cycles += s.active_cluster_cycles
-                stats.gated_cluster_cycles += s.gated_cluster_cycles
-                stats.fifo_stall_cycles += s.fifo_stall_cycles
-                stats.sequencer_overrun_cycles += s.sequencer_overrun_cycles
-                for cluster in sl.clusters:
-                    stats.tlu_skipped_steps += cluster.stats.tlu_skipped_steps
-            stats.update_events += len(stream) * len(active)
-            stats.fire_events += stream.n_steps * len(active)
-            stats.reset_events += len(active)
             stats.cycles += pass_cycles
-            # DMA traffic: the input image is re-read every pass; outputs
-            # are written once (they are produced across passes).
-            stats.dma_words_in += 1 + len(stream) + stream.n_steps
+            self._collect_pass(stats, active, len(stream), stream.n_steps)
 
         stats.passes = n_passes
-        if ks is not None:
-            # Packed fire events: concatenate the per-(step, slice)
-            # arrays once instead of growing Python lists event by event.
-            if fired_parts:
-                arr_t = np.concatenate(
-                    [np.full(p[1].size, p[0], dtype=np.int64) for p in fired_parts]
-                )
-                arr_ch = np.concatenate([p[1] for p in fired_parts])
-                arr_x = np.concatenate([p[2] for p in fired_parts])
-                arr_y = np.concatenate([p[3] for p in fired_parts])
-            else:
-                arr_t = arr_ch = arr_x = arr_y = np.zeros(0, dtype=np.int64)
-            stats.dma_words_out += int(arr_t.size)
-            out_stream = EventStream(
-                arr_t.astype(np.int32),
-                arr_ch.astype(np.int32),
-                arr_x.astype(np.int32),
-                arr_y.astype(np.int32),
-                g.output_shape(stream.n_steps),
-            )
-            return out_stream, stats
         stats.dma_words_out += len(out_t)
         out_stream = EventStream(
             np.array(out_t, dtype=np.int32),
             np.array(out_ch, dtype=np.int32),
             np.array(out_x, dtype=np.int32),
             np.array(out_y, dtype=np.int32),
-            g.output_shape(stream.n_steps),
+            program.geometry.output_shape(stream.n_steps),
         )
         return out_stream, stats
 
@@ -388,7 +484,8 @@ class SNE:
     ) -> tuple[EventStream, SNEStats]:
         """Run the whole network in layer-parallel mode (§III-D.5).
 
-        Every layer must fit simultaneously; each gets a contiguous group
+        Every layer must fit simultaneously and take the previous layer's
+        output plane as its input plane; each gets a contiguous group
         of slices and output events hop to the next layer through the
         C-XBAR within the same timestep.  The run's cycle count is the
         busiest slice group (they execute concurrently).  ``profiler``
@@ -396,18 +493,21 @@ class SNE:
         ``sne.fire`` / ``sne.reset`` / ``sne.fanout_build`` stage spans
         as :meth:`run_layer`.
 
-        ``kernel`` selects the stage implementation exactly as in
-        :meth:`run_layer`.  On the kernel paths the fire→next-layer hop
-        carries fired events as packed int64 arrays straight into the
-        next group's gather — no Python-list round trip; the
+        ``kernel`` selects the implementation exactly as in
+        :meth:`run_layer`.  On the kernel paths each (timestep, slice
+        group) is one ``run_pass`` call over a one-step window, the
+        group's TLU registers carried from step to step, and the fired
+        neurons hop to the next group as linear int64 ids; the
         ``"reference"`` choice runs the per-event loop with the
         original tuple hop.  All choices are bit-identical.
         """
         cfg = self.config
+        cps = cfg.clusters_per_slice
         if not programs:
             raise ValueError("network must contain at least one program")
         # Allocate slice groups.
         groups: list[list[tuple[Slice, int, int]]] = []
+        rows: list[slice] = []
         next_slice = 0
         for program in programs:
             program.validate_for(cfg)
@@ -428,12 +528,18 @@ class SNE:
                 self.registers.program_interval(next_slice + k, lo, hi)
                 group.append((sl, lo, hi))
             groups.append(group)
+            rows.append(slice(next_slice * cps, (next_slice + needed) * cps))
             next_slice += needed
+        for k in range(1, len(programs)):
+            g_in, g_out = programs[k].geometry, programs[k - 1].geometry
+            if g_in.input_shape(1) != g_out.output_shape(1):
+                raise ValueError(
+                    f"layer {k} input {g_in.input_shape(1)[1:]} does not chain "
+                    f"from layer {k - 1} output {g_out.output_shape(1)[1:]}"
+                )
 
         stats = SNEStats()
         stats.passes = 1
-        n_steps = stream.n_steps
-        n_update_events = 0
         t0 = _pc() if profiler is not None else 0.0
         for group in groups:
             for sl, _, _ in group:
@@ -443,99 +549,12 @@ class SNE:
                          events=sum(len(g) for g in groups))
 
         ks = resolve_kernel(kernel)
-        out_t, out_ch, out_x, out_y = [], [], [], []
-        fired_parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        tables = packs = [None] * len(programs)
-        if ks is not None:
-            t0 = _pc() if profiler is not None else 0.0
-            tables = [fanout_table(program) for program in programs]
-            packs = [table.packed() for table in tables]
-            if profiler is not None:
-                profiler.add("sne.fanout_build", _pc() - t0)
-        counts = stream.counts_per_step()
-        start = 0
-        assemble_s = update_s = fire_s = 0.0
-        for step in range(n_steps):
-            n = int(counts[step])
-            sel = slice(start, start + n)
-            in_ch = stream.ch[sel].astype(np.int64)
-            in_x = stream.x[sel].astype(np.int64)
-            in_y = stream.y[sel].astype(np.int64)
-            start += n
-            for table, pack, group in zip(tables, packs, groups):
-                m = int(in_ch.size)
-                if m:
-                    if profiler is not None:
-                        t0 = _pc()
-                    if ks is not None:
-                        flat = table.flat_ids(in_ch, in_x, in_y)
-                        if profiler is not None:
-                            t1 = _pc()
-                            assemble_s += t1 - t0
-                        idx, w, ev = ks.assemble(pack.offsets, pack.idx, pack.w, flat)
-                        for sl, _, _ in group:
-                            sl.process_update_step(step, idx, w, ev, m, kernels=ks)
-                    else:  # per-event reference loop
-                        if profiler is not None:
-                            t1 = _pc()
-                            assemble_s += t1 - t0
-                        for k in range(m):
-                            ch_k = int(in_ch[k])
-                            x_k = int(in_x[k])
-                            y_k = int(in_y[k])
-                            for sl, _, _ in group:
-                                sl.process_update(step, ch_k, x_k, y_k)
-                    stats.xbar_broadcasts += m
-                    n_update_events += m
-                    if profiler is not None:
-                        update_s += _pc() - t1
-                if profiler is not None:
-                    t0 = _pc()
-                if ks is not None:
-                    # Packed fire→next-layer hop: fired events stay int64
-                    # arrays all the way into the next group's gather.
-                    hop_ch, hop_x, hop_y = [], [], []
-                    for sl, _, _ in group:
-                        f_ch, f_x, f_y, _ = sl.process_fire_packed(step, kernels=ks)
-                        if f_ch.size:
-                            hop_ch.append(f_ch)
-                            hop_x.append(f_x)
-                            hop_y.append(f_y)
-                    if hop_ch:
-                        in_ch = np.concatenate(hop_ch)
-                        in_x = np.concatenate(hop_x)
-                        in_y = np.concatenate(hop_y)
-                    else:
-                        in_ch = in_x = in_y = np.zeros(0, dtype=np.int64)
-                else:
-                    next_ch, next_x, next_y = [], [], []
-                    for sl, _, _ in group:
-                        events, _ = sl.process_fire(step)
-                        for (t, o, x, y) in events:
-                            next_ch.append(o)
-                            next_x.append(x)
-                            next_y.append(y)
-                    in_ch = np.asarray(next_ch, dtype=np.int64)
-                    in_x = np.asarray(next_x, dtype=np.int64)
-                    in_y = np.asarray(next_y, dtype=np.int64)
-                if profiler is not None:
-                    fire_s += _pc() - t0
-            if ks is not None:  # final layer's output, still packed
-                if in_ch.size:
-                    fired_parts.append((step, in_ch, in_x, in_y))
-            else:
-                for (o, x, y) in zip(in_ch, in_x, in_y):
-                    out_t.append(step)
-                    out_ch.append(int(o))
-                    out_x.append(int(x))
-                    out_y.append(int(y))
-        if profiler is not None:
-            profiler.add("sne.assemble", assemble_s, count=n_steps,
-                         events=n_update_events)
-            profiler.add("sne.update", update_s, count=n_steps,
-                         events=n_update_events)
-            profiler.add("sne.fire", fire_s, count=n_steps,
-                         events=n_steps * len(groups))
+        if ks is None:
+            out_stream = self._run_pipelined_reference(groups, stream, stats, profiler)
+        else:
+            out_stream = self._run_pipelined_kernel(
+                ks, programs, groups, rows, stream, stats, profiler
+            )
 
         # Concurrency: total time is the busiest group; SOPs etc. sum.
         group_cycles = []
@@ -556,34 +575,115 @@ class SNE:
                 for cluster in sl.clusters:
                     stats.tlu_skipped_steps += cluster.stats.tlu_skipped_steps
         stats.cycles = max(group_cycles)
-        stats.dma_words_in = 1 + len(stream) + n_steps
+        stats.dma_words_in = 1 + len(stream) + stream.n_steps
+        stats.dma_words_out = len(out_stream)
+        return out_stream, stats
 
-        g_last = programs[-1].geometry
-        if ks is not None:
-            if fired_parts:
-                arr_t = np.concatenate(
-                    [np.full(p[1].size, p[0], dtype=np.int64) for p in fired_parts]
+    def _run_pipelined_kernel(
+        self, ks, programs, groups, rows, stream, stats, profiler
+    ) -> EventStream:
+        """Layer-parallel loop on a kernel: one ``run_pass`` per
+        (timestep, slice group), each group's TLU registers carried
+        across steps, fired neurons hopping on as packed arrays."""
+        timed = profiler is not None
+        t0 = _pc() if timed else 0.0
+        tables = [fanout_table(program) for program in programs]
+        if timed:
+            profiler.add("sne.fanout_build", _pc() - t0)
+        layers = [
+            (table.packed(), self._pass_params(program), self.state[r],
+             np.zeros(r.stop - r.start, dtype=np.int64),
+             [sl for sl, _, _ in group], program.geometry.n_outputs)
+            for table, program, r, group in zip(tables, programs, rows, groups)
+        ]
+        clock = [0.0, 0.0, 0.0] if timed else None
+        n_steps = stream.n_steps
+        counts = stream.counts_per_step()
+        start = n_update_events = 0
+        out_t, out_lin = [], []
+        t0 = _pc() if timed else 0.0
+        flat_in = tables[0].flat_ids(stream.ch, stream.x, stream.y)
+        if timed:
+            clock[0] += _pc() - t0
+        for step in range(n_steps):
+            n = int(counts[step])
+            flat = flat_in[start:start + n]
+            start += n
+            for pack, params, state, tlu, slices, n_outputs in layers:
+                m = int(flat.size)
+                t0 = _pc() if timed else 0.0
+                idx, w, ev = ks.assemble(pack.offsets, pack.idx, pack.w, flat)
+                if timed:
+                    clock[0] += _pc() - t0
+                res = ks.run_pass(
+                    state, tlu, idx, w, ev, np.full(m, step, dtype=np.int64),
+                    step, 1, 0, n_outputs, params, clock,
                 )
-                arr_ch = np.concatenate([p[1] for p in fired_parts])
-                arr_x = np.concatenate([p[2] for p in fired_parts])
-                arr_y = np.concatenate([p[3] for p in fired_parts])
-            else:
-                arr_t = arr_ch = arr_x = arr_y = np.zeros(0, dtype=np.int64)
-            stats.dma_words_out = int(arr_t.size)
-            out_stream = EventStream(
-                arr_t.astype(np.int32),
-                arr_ch.astype(np.int32),
-                arr_x.astype(np.int32),
-                arr_y.astype(np.int32),
-                g_last.output_shape(n_steps),
-            )
-            return out_stream, stats
-        stats.dma_words_out = len(out_t)
-        out_stream = EventStream(
+                self._absorb(slices, res, tlu, m, 1)
+                stats.xbar_broadcasts += m
+                n_update_events += m
+                # Packed fire->next-layer hop: the layers chain, so a
+                # fired neuron's linear output id is the next layer's
+                # linear input id.
+                flat = res.out_local
+            out_t.append(res.out_t)
+            out_lin.append(res.out_local)
+        if timed:
+            profiler.add("sne.assemble", clock[0], count=n_steps, events=n_update_events)
+            profiler.add("sne.update", clock[1], count=n_steps, events=n_update_events)
+            profiler.add("sne.fire", clock[2], count=n_steps, events=n_steps * len(groups))
+        return self._emit(programs[-1].geometry, n_steps, out_t, out_lin)
+
+    @staticmethod
+    def _run_pipelined_reference(groups, stream, stats, profiler) -> EventStream:
+        """Layer-parallel per-event loop with the tuple hop (the oracle)."""
+        n_steps = stream.n_steps
+        counts = stream.counts_per_step()
+        start = 0
+        update_s = fire_s = 0.0
+        n_update_events = 0
+        out_t, out_ch, out_x, out_y = [], [], [], []
+        for step in range(n_steps):
+            n = int(counts[step])
+            in_ch = stream.ch[start:start + n].tolist()
+            in_x = stream.x[start:start + n].tolist()
+            in_y = stream.y[start:start + n].tolist()
+            start += n
+            for group in groups:
+                if profiler is not None:
+                    t0 = _pc()
+                for ch_k, x_k, y_k in zip(in_ch, in_x, in_y):
+                    for sl, _, _ in group:
+                        sl.process_update(step, ch_k, x_k, y_k)
+                stats.xbar_broadcasts += len(in_ch)
+                n_update_events += len(in_ch)
+                if profiler is not None:
+                    t1 = _pc()
+                    update_s += t1 - t0
+                in_ch, in_x, in_y = [], [], []
+                for sl, _, _ in group:
+                    events, _ = sl.process_fire(step)
+                    for (_, o, x, y) in events:
+                        in_ch.append(o)
+                        in_x.append(x)
+                        in_y.append(y)
+                if profiler is not None:
+                    fire_s += _pc() - t1
+            out_t.extend([step] * len(in_ch))
+            out_ch.extend(in_ch)
+            out_x.extend(in_x)
+            out_y.extend(in_y)
+        if profiler is not None:  # the per-event loop assembles nothing
+            profiler.add("sne.assemble", 0.0, count=n_steps, events=n_update_events)
+            profiler.add("sne.update", update_s, count=n_steps,
+                         events=n_update_events)
+            profiler.add("sne.fire", fire_s, count=n_steps,
+                         events=n_steps * len(groups))
+        g_last = groups[-1][0][0].program.geometry
+        return EventStream(
             np.array(out_t, dtype=np.int32),
             np.array(out_ch, dtype=np.int32),
             np.array(out_x, dtype=np.int32),
             np.array(out_y, dtype=np.int32),
             g_last.output_shape(n_steps),
         )
-        return out_stream, stats

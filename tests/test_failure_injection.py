@@ -129,6 +129,15 @@ class TestResourceExhaustion:
             # the capacity check fires first.
             SNE(SNEConfig(n_slices=2)).run_network_pipelined(programs, stream)
 
+    @pytest.mark.parametrize("kernel", ["numpy", "reference"])
+    def test_pipelined_mode_unchained_layers_rejected(self, kernel):
+        programs = [conv_program() for _ in range(2)]  # 4 output ch -> 2 input ch
+        stream = EventStream.empty((2, 2, 8, 8))
+        with pytest.raises(ValueError, match="does not chain"):
+            SNE(SNEConfig(n_slices=2)).run_network_pipelined(
+                programs, stream, kernel=kernel
+            )
+
     def test_filter_buffer_capacity_enforced_under_paper_config(self):
         g = LayerGeometry(LayerKind.CONV, 257, 2, 2, 1, 2, 2, kernel=1)
         program = LayerProgram(

@@ -9,6 +9,7 @@ outputs, statistics, activity traces and membrane state on
 """
 
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -125,6 +126,29 @@ class TestKernelRegistry:
 
     def test_choices_cover_registry(self):
         assert set(KERNEL_CHOICES) == {"auto", "numba", "numpy", "reference"}
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="page-fault counter and glibc"
+    )
+    def test_repeated_passes_reuse_freed_memory(self):
+        import resource
+
+        # A dense layer whose pass plan holds ~45k entries: arrays of about
+        # 350 KB each.  Once a kernel is resolved, freed plan memory stays
+        # mapped, so repeating the layer faults (almost) no fresh pages.
+        g = LayerGeometry(LayerKind.DENSE, 6, 8, 8, 32, 1, 1)
+        w = np.random.default_rng(0).integers(-3, 4, (32, g.n_inputs))
+        program = LayerProgram(g, w, threshold=6, leak=1)
+        stream = sparse_stream(shape=(12, 6, 8, 8), density=0.3)
+        assert len(stream) * 32 > 40_000
+        sne = SNE(SNEConfig())
+        for _ in range(3):
+            sne.run_layer(program, stream, kernel="numpy")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            sne.run_layer(program, stream, kernel="numpy")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 20 * 10, f"{faults} page faults over 20 layer runs"
 
     def test_numba_fallback_warns_once(self, monkeypatch):
         caps = available_kernels()["kernels"]
@@ -284,16 +308,101 @@ class TestKernelFuzzHarness:
         solo = random_kernel_case(2)
         assert solo.program.geometry.n_outputs == 1
         # flavour 4: conv/depthwise with input coordinates of empty fanout
-        for seed in (4, 9, 14, 19):
+        for seed in (4, 11, 18, 25):
             holes = random_kernel_case(seed).program
             assert holes.geometry.kind is not LayerKind.DENSE
             assert (np.diff(fanout_table(holes).packed().offsets) == 0).any()
+        # flavour 5: a two-layer layer-parallel network
+        for seed in (5, 12):
+            piped = random_kernel_case(seed)
+            assert len(piped.pipeline) == 2 and piped.program is piped.pipeline[0]
+        # flavour 6: leaky clusters cross on the opening burst, then idle
+        for seed in (6, 13):
+            idle = random_kernel_case(seed)
+            counts = idle.stream.counts_per_step()
+            assert idle.program.leak > 0 and counts[0] > 0
+            assert (counts[1:-1] == 0).all() and len(counts) >= 6
 
     def test_run_kernel_case_reports_mismatch_fields(self):
         case = random_kernel_case(3)
         res = run_kernel_case(case, kernels=("numpy",))
         assert res.matched and res.mismatches == ()
         assert res.kernels == ("numpy",)
+
+    def test_cross_then_idle_fires_before_the_gap(self):
+        """The flavour must really leave fired and leaking clusters idle,
+        or the touched-clusters-only fire scan goes unexercised."""
+        for seed in (6, 13, 20):
+            case = random_kernel_case(seed)
+            trace = ActivityTrace()
+            SNE(SNEConfig(n_slices=case.n_slices)).run_layer(
+                case.program, case.stream, trace=trace, kernel="reference")
+            assert trace.steps[0].output_events > 0
+            assert all(s.output_events == 0 for s in trace.steps[1:-1])
+
+
+class TestNumbaPassBody:
+    """The numba pass body run as plain Python against the numpy pass.
+
+    ``numba_impl._jit`` is the identity without numba, and a jitted
+    function keeps its Python form as ``py_func``, so this checks the
+    compiled kernel's logic on every machine; the CI numba leg still
+    compiles and runs the jitted form through the parity matrix.
+    """
+
+    @staticmethod
+    def body():
+        from repro.hw.kernels import numba_impl
+
+        return getattr(numba_impl._run_pass, "py_func", numba_impl._run_pass)
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_body_matches_numpy_pass(self, seed):
+        from repro.hw.kernels import numpy_impl
+
+        case = random_kernel_case(seed)
+        rng = np.random.default_rng(seed)
+        cfg = SNEConfig(n_slices=case.n_slices)
+        for program in case.pipeline or (case.program,):
+            stream = sparse_stream(
+                (case.stream.n_steps,) + program.geometry.input_shape(1)[1:],
+                density=0.3, seed=seed,
+            )
+            table = fanout_table(program)
+            packed = table.packed()
+            idx, w, ev = numpy_impl.assemble(
+                packed.offsets, packed.idx, packed.w,
+                table.flat_ids(stream.ch, stream.x, stream.y),
+            )
+            params = SNE(cfg)._pass_params(program)
+            for pass_idx in range(program.n_passes(cfg)):
+                lo, hi = program.pass_neuron_range(cfg, pass_idx)
+                n_rows = -(-(hi - lo) // cfg.neurons_per_slice) * cfg.clusters_per_slice
+                # A window starting mid-run: live membranes, mixed TLUs.
+                t0 = int(rng.integers(0, 3))
+                state = rng.integers(-40, 40, (n_rows, cfg.neurons_per_cluster))
+                tlu = rng.integers(0, t0 + 1, n_rows)
+                args = (idx, w, ev, stream.t.astype(np.int64) + t0, t0,
+                        stream.n_steps, lo, hi)
+                s_np, t_np = state.copy(), tlu.copy()
+                want = numpy_impl.run_pass(s_np, t_np, *args, params)
+                s_py, t_py = state.copy(), tlu.copy()
+                got = self.body()(s_py, t_py, *args, *params)
+                for field, a, b in zip(want._fields, want, got):
+                    assert np.array_equal(a, b), f"seed {seed}: {field}"
+                assert np.array_equal(s_np, s_py), f"seed {seed}: state"
+                assert np.array_equal(t_np, t_py), f"seed {seed}: tlu"
+
+    def test_body_through_the_registry(self, monkeypatch):
+        """The wrapper plus body, end to end against the reference."""
+        from repro.hw.kernels import numba_impl
+
+        monkeypatch.setattr(numba_impl, "_run_pass", self.body())
+        ks = KernelSet("numba", numba_impl.assemble, numba_impl.run_pass)
+        monkeypatch.setitem(kernels_mod._RESOLVED, "numba", ks)
+        for seed in range(14):
+            res = run_kernel_case(random_kernel_case(seed), kernels=("numba",))
+            assert res.matched, (seed, res.mismatches)
 
 
 class TestFanoutMemo:
@@ -388,6 +497,9 @@ class TestPackedFanout:
         sizes = [p[0].size for p in parts]
         assert np.array_equal(ev, np.repeat(np.arange(flat.size), sizes))
         assert idx.dtype == w.dtype == ev.dtype == np.int64
+        # The pass kernels rely on this: neurons ascend within an event.
+        same_event = ev[1:] == ev[:-1]
+        assert (idx[1:][same_event] > idx[:-1][same_event]).all()
 
 
 class TestJobHashIsolation:

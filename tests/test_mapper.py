@@ -186,6 +186,7 @@ class TestFanoutTable:
             assert np.array_equal(packed.idx[lo:hi], idx)
             assert np.array_equal(packed.w[lo:hi], w)
             assert idx.dtype == np.int64 and w.dtype == np.int64
+            assert (np.diff(idx) > 0).all()  # ascending: the pass kernels' contract
 
     def test_empty_fanouts_are_packed_as_empty_rows(self):
         # stride 3 > kernel 1: only every third row/column reaches an output

@@ -117,6 +117,19 @@ class TestSNEProfileSpans:
         assert profiler.spans["sne.fanout_build"].count >= 1
         assert profiler.spans["sne.fanout_build"].wall_s > 0
 
+    @pytest.mark.parametrize("kernel", ["numpy", "reference"])
+    def test_stage_spans_nest_inside_layer_spans(self, kernel):
+        """perfbench reads these five spans by name; they time disjoint
+        pieces of the layer runs, so they can never sum past them."""
+        profiler = self.make_run(kernel=kernel)
+        stages = ("sne.assemble", "sne.update", "sne.fire", "sne.reset")
+        if kernel != "reference":
+            stages += ("sne.fanout_build",)
+        assert set(stages) <= set(profiler.spans)
+        layer_s = sum(s.wall_s for name, s in profiler.spans.items()
+                      if name.startswith("sne.layer."))
+        assert sum(profiler.spans[name].wall_s for name in stages) <= layer_s
+
     def test_reference_loop_profiles_too(self):
         profiler = self.make_run(batched=False)
         assert profiler.spans["sne.update"].count > 0
