@@ -91,9 +91,8 @@ from typing import Sequence
 
 from . import obs
 from .backends import available_backends, default_backend_name, make_backend
-from .cache import default_cache_dir
 from .progress import ConsoleProgress, Progress
-from .store import ResultStore, open_store
+from .store import ResultStore, default_cache_dir, open_store
 
 __all__ = ["main", "build_parser"]
 

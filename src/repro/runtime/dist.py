@@ -37,11 +37,10 @@ Chunks are JSON documents of per-spec codec docs
 (:func:`~repro.runtime.jobs.spec_to_doc`): payload-free specs encode as
 ``codec: "json"``, ``sample_eval`` payloads cross as ``codec:
 "events"`` (base64 arrays — portable and inspectable, what lets the
-serving front end put payload jobs on a remote fleet), and only unknown
-payload kinds fall back to an embedded ``codec: "pickle"`` blob — a
-deprecated path that warns on encode and confines the chunk to workers
-sharing the code tree.  Whole-file pickle chunks written by older
-brokers still decode.
+serving front end put payload jobs on a remote fleet).  A payload kind
+with no wire codec cannot be spooled: :meth:`Broker.submit` raises
+``ValueError``.  A chunk file is only ever parsed as JSON, so a planted
+or damaged file reads as a corrupt chunk and never runs code.
 
 Crash safety rests on idempotence: equal job hash ⇒ equal result, so
 a lease takeover that races a slow-but-alive worker merely computes
@@ -57,7 +56,6 @@ import math
 import multiprocessing
 import os
 import pathlib
-import pickle
 import socket
 import tempfile
 import threading
@@ -125,8 +123,7 @@ def _encode_chunk(chunk_id: str, index: int, specs: list[JobSpec],
 
     :func:`~repro.runtime.jobs.spec_to_doc` picks the codec per spec:
     ``json`` for payload-free specs, ``events`` for ``sample_eval``
-    payloads (base64 event arrays — wire-portable), and the deprecated
-    embedded-``pickle`` blob for unknown payload kinds (which warns).
+    payloads (base64 event arrays — wire-portable).
 
     ``trace`` embeds the chunk's span context in the document, so every
     worker attempt — including a requeue after a SIGKILL, which reuses
@@ -136,7 +133,7 @@ def _encode_chunk(chunk_id: str, index: int, specs: list[JobSpec],
         "schema": DIST_SCHEMA,
         "chunk": chunk_id,
         "index": index,
-        "jobs": [spec_to_doc(s, allow_pickle=True) for s in specs],
+        "jobs": [spec_to_doc(s) for s in specs],
     }
     if trace is not None:
         doc["trace"] = trace.to_doc()
@@ -152,20 +149,14 @@ def _decode_chunk(data: bytes) -> tuple[list[JobSpec], obs.SpanContext | None]:
     chunk-level failure instead of crashing.
     """
     try:
-        if data[:1] == b"\x80":  # pickle protocol 2+ magic (legacy chunks)
-            doc = pickle.loads(data)
-            specs = doc["specs"]
-        else:
-            doc = json.loads(data.decode())
-            specs = [spec_from_doc(j) for j in doc["jobs"]]
-    except Exception as exc:  # json/pickle/KeyError/... → one corruption shape
+        doc = json.loads(data.decode())
+        specs = [spec_from_doc(j) for j in doc["jobs"]]
+    except Exception as exc:  # json/KeyError/... → one corruption shape
         raise ValueError(f"corrupt spool chunk: {type(exc).__name__}: {exc}") from exc
     if doc.get("schema") != DIST_SCHEMA:
         raise ValueError(
             f"corrupt spool chunk: unsupported schema {doc.get('schema')!r}"
         )
-    if not isinstance(specs, list) or not all(isinstance(s, JobSpec) for s in specs):
-        raise ValueError("corrupt spool chunk: no spec list")
     return specs, obs.SpanContext.from_doc(doc.get("trace"))
 
 

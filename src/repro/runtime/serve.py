@@ -67,12 +67,10 @@ import asyncio
 import contextlib
 import json
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 from . import obs
-from .backends import Backend, JobResult
-from .cache import ResultCache
+from .backends import JobResult
 from .dispatch import Dispatcher, LocalDispatcher
 from .jobs import (
     JobSpec,
@@ -81,6 +79,7 @@ from .jobs import (
     inference_energy_job,
 )
 from .progress import LatencyRecorder
+from .store import ResultStore
 
 __all__ = [
     "ServeTelemetry",
@@ -211,11 +210,6 @@ class _Pending:
 _CLOSE = object()
 
 
-#: Warn-once latch for the deprecated ``AsyncServer(backend=...)``
-#: construction path (module-level so every server shares it).
-_BACKEND_SHIM_WARNED = False
-
-
 class AsyncServer:
     """Micro-batching asyncio front end over one execution plane.
 
@@ -242,9 +236,7 @@ class AsyncServer:
 
     def __init__(
         self,
-        backend: Backend | str | None = None,
-        workers: int | None = None,
-        cache: ResultCache | None = None,
+        cache: ResultStore | None = None,
         batch_window_s: float = 0.005,
         max_batch: int = 32,
         telemetry: ServeTelemetry | None = None,
@@ -255,13 +247,6 @@ class AsyncServer:
         slo_rules: list | None = None,
     ) -> None:
         """Args:
-            backend: **deprecated** — backend instance or registered
-                name, wrapped in a
-                :class:`~repro.runtime.dispatch.LocalDispatcher` with a
-                one-time :class:`DeprecationWarning`.  Pass
-                ``dispatcher=`` instead.
-            workers: pool size when ``backend`` is a name (None = the
-                backend's own default); deprecated alongside it.
             cache: optional read-through/write-through result store.
             batch_window_s: how long the batcher waits for more requests
                 after the first one arrives (0 = dispatch immediately).
@@ -285,8 +270,7 @@ class AsyncServer:
 
         Raises:
             ValueError: non-positive ``max_batch``, ``max_queue_depth``
-                or ``conn_credits``, negative ``batch_window_s``, or
-                both ``backend`` and ``dispatcher`` given.
+                or ``conn_credits``, or negative ``batch_window_s``.
         """
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
@@ -296,29 +280,9 @@ class AsyncServer:
             raise ValueError("max_queue_depth must be positive")
         if conn_credits < 1:
             raise ValueError("conn_credits must be positive")
-        if dispatcher is not None and backend is not None:
-            raise ValueError("pass either dispatcher= or the deprecated "
-                             "backend=, not both")
-        if dispatcher is None:
-            if backend is not None:
-                global _BACKEND_SHIM_WARNED
-                if not _BACKEND_SHIM_WARNED:
-                    _BACKEND_SHIM_WARNED = True
-                    warnings.warn(
-                        "AsyncServer(backend=...) is deprecated; pass "
-                        "dispatcher=LocalDispatcher(backend) instead",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-            dispatcher = LocalDispatcher(
-                backend if backend is not None else "thread", workers=workers)
-            self._owns_dispatcher = True
-        else:
-            self._owns_dispatcher = False
-        self.dispatcher = dispatcher
-        #: The wrapped backend when the plane is local (None on remote
-        #: planes) — kept for the deprecated ``backend=`` callers.
-        self.backend = getattr(dispatcher, "backend", None)
+        self._owns_dispatcher = dispatcher is None
+        self.dispatcher = (dispatcher if dispatcher is not None
+                           else LocalDispatcher("thread"))
         self.cache = cache
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
@@ -383,8 +347,8 @@ class AsyncServer:
             await self._batcher
         await self._drain_dispatches()
         if self._owns_dispatcher:
-            # A dispatcher the server built itself (default, or the
-            # deprecated backend= shim) has no other owner to close it.
+            # A dispatcher the server built itself (the default) has no
+            # other owner to close it.
             await self.dispatcher.aclose()
         self._flush_cache_stats()
         obs.flush_metrics()
@@ -834,6 +798,33 @@ def _parse_hello(line: bytes | str) -> dict | None:
     return None
 
 
+#: The TCP transport's request-line limit in bytes (asyncio's default
+#: ``StreamReader`` limit, stated so the error answer can name it).
+_LINE_LIMIT = 2 ** 16
+
+#: What a transport's ``readline`` returns in place of a request line
+#: over its limit, once the line has been discarded through its newline.
+_OVERSIZED = object()
+
+
+async def _read_tcp_line(reader: asyncio.StreamReader):
+    """The next request line from ``reader`` (``b""`` at EOF), or
+    :data:`_OVERSIZED` for a line over the reader's limit.  An
+    oversized line is read and dropped through its newline, chunk by
+    chunk, so the connection stays usable for the lines behind it."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF: the unterminated tail, b"" if none
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)  # drop what is buffered
+            oversized = True
+            continue
+        return _OVERSIZED if oversized else line
+
+
 async def _serve_lines(server: AsyncServer, readline, send) -> None:
     """The protocol pump shared by every transport: read request lines
     until EOF, answer each in its own task (so responses stream back in
@@ -853,7 +844,8 @@ async def _serve_lines(server: AsyncServer, readline, send) -> None:
     Args:
         server: the :class:`AsyncServer` answering requests.
         readline: async callable returning the next line (bytes or
-            str), falsy at EOF.
+            str), falsy at EOF, or :data:`_OVERSIZED` for a line over
+            the transport's limit (answered with one ``bad_request``).
         send: async callable writing one response document; must emit
             whole lines (callers guard it with a lock).
 
@@ -866,6 +858,11 @@ async def _serve_lines(server: AsyncServer, readline, send) -> None:
     try:
         while True:
             line = await readline()
+            if line is _OVERSIZED:
+                await send(_error_response(
+                    None, f"bad request: request line longer than "
+                          f"{_LINE_LIMIT} bytes", "bad_request", conn))
+                continue
             if not line:
                 break
             if not line.strip():
@@ -901,7 +898,7 @@ async def _handle_connection(
             await writer.drain()
 
     try:
-        await _serve_lines(server, reader.readline, send)
+        await _serve_lines(server, lambda: _read_tcp_line(reader), send)
     except (ConnectionResetError, BrokenPipeError):
         pass  # client went away; in-flight jobs still complete server-side
     finally:
@@ -928,7 +925,8 @@ async def serve_tcp(
     """
     server._ensure_batcher()
     return await asyncio.start_server(
-        lambda r, w: _handle_connection(server, r, w), host, port
+        lambda r, w: _handle_connection(server, r, w), host, port,
+        limit=_LINE_LIMIT,
     )
 
 

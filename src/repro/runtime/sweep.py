@@ -19,10 +19,10 @@ from typing import Sequence
 
 from ..analysis.tables import render_table, to_csv
 from .backends import Backend
-from .cache import ResultCache
 from .executor import RunReport, RunStats, run_jobs
 from .jobs import JobSpec, dse_point_job
 from .progress import Progress
+from .store import ResultStore
 
 __all__ = [
     "SweepAxis",
@@ -175,7 +175,7 @@ def run_dse_sweep(
     voltages: Sequence[float | None] = (None,),
     utilizations: Sequence[float] = (1.0,),
     executor: Backend | str | None = None,
-    cache: ResultCache | None = None,
+    cache: ResultStore | None = None,
     progress: Progress | None = None,
     shards: int | None = None,
 ) -> SweepReport:
@@ -210,7 +210,7 @@ def _run_sharded(
     jobs: Sequence[JobSpec],
     n_shards: int,
     executor: Backend | str | None,
-    cache: ResultCache | None,
+    cache: ResultStore | None,
     progress: Progress | None,
 ) -> RunReport:
     """Run ``jobs`` shard by shard and merge back into grid order."""

@@ -14,8 +14,8 @@ codes against, so these tests pin what clients of the seam depend on:
   failures at the per-submission timeout, never as a hang;
 * ``aclose()`` fails pending submissions instead of stranding them,
   and a closed dispatcher rejects new work;
-* the deprecated ``AsyncServer(backend=...)`` shim warns once and
-  wraps the backend in a ``LocalDispatcher``.
+* an ``AsyncServer`` built without a dispatcher runs on a
+  ``LocalDispatcher`` over the ``thread`` backend.
 """
 
 import asyncio
@@ -105,31 +105,9 @@ class TestLocalDispatcher:
 
 
 class TestBackendShim:
-    def test_backend_kwarg_warns_once_and_wraps(self, monkeypatch):
-        from repro.runtime import serve as serve_mod
-
-        monkeypatch.setattr(serve_mod, "_BACKEND_SHIM_WARNED", False)
-
-        async def body():
-            with pytest.warns(DeprecationWarning, match="dispatcher="):
-                srv = AsyncServer(backend="serial")
-            assert isinstance(srv.dispatcher, LocalDispatcher)
-            assert srv.stats()["backend"] == "serial"
-            # The latch holds: a second deprecated construction is silent.
-            import warnings as _w
-            with _w.catch_warnings():
-                _w.simplefilter("error", DeprecationWarning)
-                AsyncServer(backend="serial")
-
-        run_async(body())
-
-    def test_backend_and_dispatcher_are_exclusive(self):
-        async def body():
-            with pytest.raises(ValueError, match="not both"):
-                AsyncServer(backend="serial",
-                            dispatcher=LocalDispatcher("serial"))
-
-        run_async(body())
+    """``AsyncServer`` takes its execution plane only as
+    ``dispatcher=``; without one it builds a ``LocalDispatcher`` over
+    the ``thread`` backend."""
 
     def test_default_construction_is_local_thread_plane(self):
         async def body():

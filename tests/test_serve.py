@@ -750,6 +750,28 @@ class TestWireV2:
         assert by_id["u"]["code"] == "bad_request"
         assert by_id["o"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize("size", [2 ** 16 + 1, 2 ** 20])
+    def test_oversized_line_gets_one_error_and_connection_survives(
+            self, tmp_path, size):
+        # 2**16 is asyncio's StreamReader limit; 1 MB spans many reads,
+        # so one error per buffered chunk would answer more than once.
+        head = json.dumps({"id": "big", "kind": "dse_point", "params": {"pad": ""}})
+        big = head.replace('"pad": ""', '"pad": "' + "x" * (size - len(head)) + '"')
+        assert len(big) == size
+        out = self._roundtrip(
+            [
+                json.dumps({"id": "h", "op": "hello", "proto": 2}),
+                big,
+                json.dumps({"id": "p", "op": "ping"}),
+            ],
+            tmp_path,
+        )
+        assert out[0]["id"] == "h" and out[0]["ok"]
+        assert out[1] == {"id": None, "ok": False, "code": "bad_request",
+                          "error": "bad request: request line longer than "
+                                   "65536 bytes"}
+        assert out[2] == {"id": "p", "ok": True, "pong": True}
+
     def test_v2_runner_failure_is_backend_error(self, tmp_path, monkeypatch):
         from repro.runtime import serve as serve_mod
 

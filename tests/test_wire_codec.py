@@ -1,4 +1,4 @@
-"""Spec-document codecs: ``json`` / ``events`` / ``pickle`` round trips.
+"""Spec-document codecs: ``json`` / ``events`` round trips.
 
 The fleet-serving path (``BrokerDispatcher``) and the ``cluster``
 backend both cross process boundaries through
@@ -10,14 +10,18 @@ the wire contract down:
 * ``sample_eval`` payloads round-trip through the ``events`` codec
   **bit-identically** — same job hash, byte-equal weight and event
   arrays, identical execution results;
-* the ``pickle`` fallback still works for unknown payload kinds but is
-  deprecated: encoding warns, and it is opt-in (``allow_pickle=True``);
-* the dist chunk files built on top are pure JSON now, even for
-  payload-carrying specs.
+* a payload kind with no wire codec cannot be encoded at all;
+* the dist chunk files built on top are pure JSON, even for
+  payload-carrying specs, and a planted pickle — as a chunk file or as
+  a spec document — is rejected as corrupt without ever being loaded.
 """
 
+import base64
 import dataclasses
 import json
+import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ import pytest
 from repro.energy.power import PowerModel
 from repro.events import EventStream
 from repro.hw import LayerGeometry, LayerKind, LayerProgram, SNEConfig
-from repro.runtime import JobSpec, canonical_json, execute_job
+from repro.runtime import Broker, JobSpec, canonical_json, dse_point_job, execute_job
+from repro.runtime.dist import _decode_chunk, _encode_chunk, worker_loop
 from repro.runtime.jobs import CODECS, sample_eval_job, spec_from_doc, spec_to_doc
 
 
@@ -42,9 +47,20 @@ def make_sample_spec(power=True, seed=0):
     )
 
 
+class PlantedPickle:
+    """Unpickling this object creates the directory ``marker`` — a
+    stand-in for arbitrary code run by whoever loads the bytes."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.marker,))
+
+
 class TestCodecField:
     def test_codecs_tuple_is_the_contract(self):
-        assert CODECS == ("json", "events", "pickle")
+        assert CODECS == ("json", "events")
 
     def test_payload_free_spec_is_json_codec(self):
         spec = JobSpec(kind="k", key=canonical_json({"a": 1}))
@@ -60,6 +76,15 @@ class TestCodecField:
     def test_unknown_codec_rejected(self):
         with pytest.raises(ValueError, match="unknown spec codec"):
             spec_from_doc({"kind": "k", "key": "{}", "codec": "msgpack"})
+
+    def test_pickle_codec_document_rejected_unloaded(self, tmp_path):
+        marker = tmp_path / "ran"
+        blob = pickle.dumps(PlantedPickle(marker))
+        doc = {"kind": "k", "key": "{}", "codec": "pickle",
+               "payload": base64.b64encode(blob).decode("ascii")}
+        with pytest.raises(ValueError, match="unknown spec codec"):
+            spec_from_doc(doc)
+        assert not marker.exists()
 
 
 class TestEventsCodec:
@@ -108,6 +133,9 @@ class TestEventsCodec:
 
 
 class TestPickleFallback:
+    """There is no pickle fallback: a payload kind without a wire codec
+    cannot be encoded, so it can never reach a spool or the wire."""
+
     def spec(self):
         return JobSpec(kind="t_exotic", key=canonical_json({"n": 1}),
                        payload={"blob": np.arange(3)})
@@ -116,27 +144,9 @@ class TestPickleFallback:
         with pytest.raises(ValueError, match="no wire codec"):
             spec_to_doc(self.spec())
 
-    def test_opt_in_warns_deprecation_and_round_trips(self):
-        with pytest.warns(DeprecationWarning, match="pickle"):
-            doc = spec_to_doc(self.spec(), allow_pickle=True)
-        assert doc["codec"] == "pickle"
-        json.dumps(doc)  # the blob is embedded as base64 text
-        back = spec_from_doc(doc)
-        assert back.job_hash == self.spec().job_hash
-        assert np.array_equal(back.payload["blob"], np.arange(3))
-
-    def test_corrupt_pickle_payload_is_structured_error(self):
-        with pytest.warns(DeprecationWarning):
-            doc = spec_to_doc(self.spec(), allow_pickle=True)
-        doc["payload"] = "AAAA"
-        with pytest.raises(ValueError, match="pickle-codec payload"):
-            spec_from_doc(doc)
-
 
 class TestChunkFilesAreJSON:
     def test_sample_eval_chunks_spool_as_json(self):
-        from repro.runtime.dist import _decode_chunk, _encode_chunk
-
         spec = make_sample_spec()
         blob = _encode_chunk("c-0", 0, [spec], trace=None)
         doc = json.loads(blob.decode("utf-8"))  # not pickle bytes
@@ -146,13 +156,27 @@ class TestChunkFilesAreJSON:
         assert specs[0].job_hash == spec.job_hash
         assert execute_job(specs[0]) == execute_job(spec)
 
-    def test_legacy_pickle_chunk_still_decodes(self):
-        import pickle
+    def test_planted_pickle_chunk_is_corrupt_and_never_loaded(self, tmp_path):
+        marker = tmp_path / "ran"
+        with pytest.raises(ValueError, match="corrupt spool chunk"):
+            _decode_chunk(pickle.dumps(PlantedPickle(marker)))
+        assert not marker.exists()
 
-        from repro.runtime.dist import DIST_SCHEMA, _decode_chunk
-
-        spec = JobSpec(kind="k", key=canonical_json({"a": 1}))
-        blob = pickle.dumps({"schema": DIST_SCHEMA, "specs": [spec]})
-        specs, trace = _decode_chunk(blob)
-        assert specs == [spec]
-        assert trace is None
+    def test_worker_reports_planted_pickle_chunk_as_chunk_failure(self, tmp_path):
+        spool, marker = tmp_path / "spool", tmp_path / "ran"
+        jobs = [dse_point_job(n) for n in (1, 2, 4, 8)]
+        broker = Broker(spool, max_attempts=1)
+        ids = broker.submit(jobs, chunk_size=2)
+        (spool / "chunks" / f"{ids[1]}.chunk").write_bytes(
+            pickle.dumps(PlantedPickle(marker)))
+        worker = threading.Thread(target=worker_loop, args=(spool,),
+                                  kwargs=dict(drain=True, poll_s=0.01))
+        worker.start()
+        results = broker.collect(timeout=30)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert [r.ok for r in results] == [True, True, False, False]
+        for r in results[2:]:
+            assert "corrupt spool chunk" in r.error
+        assert broker.stats.chunk_failures == 1
+        assert not marker.exists()
